@@ -61,9 +61,6 @@ from .modules import (
 from .permutation import (
     PermutationDescriptor,
     TaggedModule,
-    descriptor_dim,
-    descriptor_eq,
-    is_free_descriptor,
     mackey_tensor,
     realize,
     recognize,

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import config
-from .complexes import certify_resolution, free_up_to, tag_complex
+from .complexes import certify_resolution, tag_complex
 from .errors import CapExceeded, InternalError, LiftFailed, PermresError
 from .io import (
     FormatError,
@@ -103,11 +103,6 @@ def cmd_verify(args) -> int:
                 break
         lines.append(f"tags-vs-file: {'PASS' if bad is None else 'FAIL (' + bad + ')'}")
         ok = ok and bad is None
-        if bad is None and m is not None:
-            tagged = tag_complex(loaded.complex)
-            free_ok = free_up_to(tagged, m)
-            lines.append(f"free-up-to-tagged: {'PASS' if free_ok else 'FAIL'} (m = {m})")
-            ok = ok and free_ok
     digest_ok = loaded.digest == loaded.digest_expected
     lines.append(f"digest: {'ok' if digest_ok else 'MISMATCH (informational)'}")
     for line in lines:

@@ -2,9 +2,15 @@
 
 Homological indexing: differentials lower degree, d_j : C_j -> C_(j-1),
 and an optional augmentation eps : C_0 -> M is treated as the degree-0
-boundary for exactness purposes.  Nothing here is ever *assumed* exact:
-``certify_resolution`` recomputes d^2 = 0, all homology dimensions, tag
-recognition and freeness from scratch.
+boundary for exactness purposes.
+
+The builders check only the shapes of what they glue.  ``cone`` and
+``direct_sum_complexes`` compose the tags of their terms from the tags of
+their inputs (``direct_sum_tag``); ``tensor_complexes`` recognizes its
+terms, since a Mackey basis is not a concatenation.  Nothing here is ever
+*assumed* exact: ``certify_resolution`` is the one place that recomputes
+d^2 = 0, all homology dimensions, tag recognition and freeness from
+scratch.
 
 Sign conventions (the certified statements are sign-independent):
 
@@ -20,10 +26,11 @@ import numpy as np
 
 from .errors import InternalError, LiftFailed, NotResolution
 from .groups import Group
-from .linalg import Mat, permutation_vector, solve, vstack
+from .linalg import Mat, block_diag, permutation_vector, solve, vstack
 from .modules import (
     Module,
     ModuleMap,
+    _intertwiner_system,
     check_module_map,
     direct_sum,
     kernel,
@@ -33,7 +40,7 @@ from .modules import (
     trivial_module,
     validate_module,
 )
-from .permutation import TaggedModule, element_images, is_free_descriptor, recognize
+from .permutation import TaggedModule, direct_sum_tag, element_images, recognize
 
 
 @dataclass(frozen=True)
@@ -170,7 +177,7 @@ def free_up_to(c: Complex, m: int) -> bool:
         raise ValueError("freeness degree must be >= 0")
     for j in range(0, min(m, c.top) + 1):
         if c.tags is not None:
-            if not is_free_descriptor(c.tags[j].descriptor):
+            if not c.tags[j].descriptor.is_free():
                 return False
         elif not is_free_module(c.terms[j]):
             return False
@@ -181,20 +188,9 @@ def free_up_to(c: Complex, m: int) -> bool:
 # builders
 
 
-def _zero_module(group: Group) -> Module:
-    return trivial_module(group, 0)
-
-
-def _maybe_tags(c: Complex, want: bool) -> Complex:
-    if not want:
-        return c
-    tags = tuple(recognize(t) for t in c.terms)
-    return Complex(c.terms, c.diffs, c.aug, tags)
-
-
 def tag_complex(c: Complex) -> Complex:
     """Attach recognized tags to every term (all must be permutation bases)."""
-    return _maybe_tags(c, True)
+    return Complex(c.terms, c.diffs, c.aug, tuple(recognize(t) for t in c.terms))
 
 
 def single_term_complex(module: Module, aug: ModuleMap | None = None) -> Complex:
@@ -212,35 +208,23 @@ def retarget_augmentation(c: Complex, new_target: Module) -> Complex:
     return Complex(c.terms, c.diffs, aug, c.tags)
 
 
-def _assert_d_squared(c: Complex):
-    for j in range(2, c.top + 1):
-        if not (c.diffs[j - 2].matrix @ c.diffs[j - 1].matrix).is_zero():
-            raise InternalError(f"d o d != 0 at degree {j}")
-    if c.aug is not None and c.top >= 1:
-        if not (c.aug.matrix @ c.diffs[0].matrix).is_zero():
-            raise InternalError("augmentation does not kill the image of d_1")
-
-
 def direct_sum_complexes(a: Complex, b: Complex) -> Complex:
-    """Degree-wise direct sum; augmented onto the direct sum of targets."""
+    """Degree-wise direct sum; augmented onto the direct sum of targets.
+
+    Tagged when both inputs are, each tag composed from the summands' tags.
+    """
     group = a.group
     p = group.p
     n = max(a.top, b.top)
     terms = []
-    sums = []
     for j in range(n + 1):
-        ta = a.terms[j] if j <= a.top else _zero_module(group)
-        tb = b.terms[j] if j <= b.top else _zero_module(group)
-        ds = direct_sum(ta, tb)
-        sums.append(ds)
-        terms.append(ds.module)
+        ta = a.terms[j] if j <= a.top else trivial_module(group, 0)
+        tb = b.terms[j] if j <= b.top else trivial_module(group, 0)
+        terms.append(direct_sum(ta, tb).module)
     diffs = []
     for j in range(1, n + 1):
-        da = a.diffs[j - 1].matrix if j <= a.top else Mat.zeros(p, terms[j - 1].dim, 0)
         rows_a = a.terms[j - 1].dim if j - 1 <= a.top else 0
         cols_a = a.terms[j].dim if j <= a.top else 0
-        rows_b = b.terms[j - 1].dim if j - 1 <= b.top else 0
-        cols_b = b.terms[j].dim if j <= b.top else 0
         mat = np.zeros((terms[j - 1].dim, terms[j].dim), dtype=np.int64)
         if j <= a.top:
             mat[:rows_a, :cols_a] = a.diffs[j - 1].matrix.a
@@ -254,20 +238,28 @@ def direct_sum_complexes(a: Complex, b: Complex) -> Complex:
         mat[: a.aug.target.dim, : a.terms[0].dim] = a.aug.matrix.a
         mat[a.aug.target.dim :, a.terms[0].dim :] = b.aug.matrix.a
         aug = ModuleMap(terms[0], tgt.module, Mat(p, mat))
-    c = Complex(tuple(terms), tuple(diffs), aug)
-    return _maybe_tags(c, a.tags is not None and b.tags is not None)
+    tags = None
+    if a.tags is not None and b.tags is not None:
+        tags = tuple(
+            direct_sum_tag(t, a.tags[j : j + 1] + b.tags[j : j + 1])
+            for j, t in enumerate(terms)
+        )
+    return Complex(tuple(terms), tuple(diffs), aug, tags)
 
 
 def cone(f: ChainMap) -> Complex:
-    """Mapping cone: cone_j = Q_(j-1) (+) P_j, d(q, p) = (-d q, f(q) + d p)."""
+    """Mapping cone: cone_j = Q_(j-1) (+) P_j, d(q, p) = (-d q, f(q) + d p).
+
+    Tagged when both complexes are, each tag composed from the summands' tags.
+    """
     q, pc = f.source, f.target
     group = q.group
     p = group.p
     n = max(q.top + 1, pc.top)
     terms = []
     for j in range(n + 1):
-        tq = q.terms[j - 1] if 1 <= j <= q.top + 1 else _zero_module(group)
-        tp = pc.terms[j] if j <= pc.top else _zero_module(group)
+        tq = q.terms[j - 1] if 1 <= j <= q.top + 1 else trivial_module(group, 0)
+        tp = pc.terms[j] if j <= pc.top else trivial_module(group, 0)
         terms.append(direct_sum(tq, tp).module)
     diffs = []
     for j in range(1, n + 1):
@@ -284,9 +276,13 @@ def cone(f: ChainMap) -> Complex:
         if 1 <= j <= pc.top:
             mat[rows_q:, cols_q:] = pc.diffs[j - 1].matrix.a
         diffs.append(ModuleMap(terms[j], terms[j - 1], Mat(p, mat)))
-    c = Complex(tuple(terms), tuple(diffs))
-    _assert_d_squared(c)
-    return _maybe_tags(c, q.tags is not None and pc.tags is not None)
+    tags = None
+    if q.tags is not None and pc.tags is not None:
+        tags = tuple(
+            direct_sum_tag(t, (q.tags[j - 1 : j] if j else ()) + pc.tags[j : j + 1])
+            for j, t in enumerate(terms)
+        )
+    return Complex(tuple(terms), tuple(diffs), tags=tags)
 
 
 def tensor_complexes(a: Complex, b: Complex) -> Complex:
@@ -315,13 +311,7 @@ def tensor_complexes(a: Complex, b: Complex) -> Complex:
             offsets[i, j] = off
             off += tm.dim
             mods.append(tm)
-        action = tuple(
-            Mat(
-                p,
-                _block_diag_arrays([m.action[g].a for m in mods], off),
-            )
-            for g in range(group.rank)
-        )
+        action = tuple(block_diag(p, [m.action[g] for m in mods]) for g in range(group.rank))
         terms.append(Module(group, action))
     diffs = []
     for n in range(1, n_total + 1):
@@ -340,25 +330,13 @@ def tensor_complexes(a: Complex, b: Complex) -> Complex:
                 sign = 1 if i % 2 == 0 else p - 1
                 block = sign * np.kron(np.eye(a.terms[i].dim, dtype=np.int64), b.diffs[j - 1].matrix.a)
                 mat[ro : ro + block.shape[0], co : co + w] = block % p
-            del w
         diffs.append(ModuleMap(terms[n], terms[n - 1], Mat(p, mat)))
     aug = None
     if a.aug is not None and b.aug is not None:
         tgt = tensor(a.aug.target, b.aug.target)
         aug = ModuleMap(terms[0], tgt, a.aug.matrix.kron(b.aug.matrix))
     c = Complex(tuple(terms), tuple(diffs), aug)
-    _assert_d_squared(c)
-    return _maybe_tags(c, a.tags is not None and b.tags is not None)
-
-
-def _block_diag_arrays(blocks, total):
-    out = np.zeros((total, total), dtype=np.int64)
-    off = 0
-    for blk in blocks:
-        k = blk.shape[0]
-        out[off : off + k, off : off + k] = blk
-        off += k
-    return out
+    return tag_complex(c) if a.tags is not None and b.tags is not None else c
 
 
 def syzygy(c: Complex, j: int) -> Module:
@@ -369,7 +347,7 @@ def syzygy(c: Complex, j: int) -> Module:
     if j < 1:
         raise ValueError(f"syzygy index {j} out of range")
     if j - 1 > c.top:
-        return _zero_module(c.group)
+        return trivial_module(c.group, 0)
     b = c.boundary(j - 1)
     if b is None:
         raise ValueError("complex is not augmented")
@@ -387,7 +365,7 @@ def truncate(c: Complex, steps: int = 1, check: bool = True) -> Complex:
         if c.top == 0:
             if k.dim != 0:
                 raise NotResolution("augmentation of a length-0 resolution has a kernel")
-            z = _zero_module(c.group)
+            z = trivial_module(c.group, 0)
             c = Complex((z,), (), ModuleMap(z, k, Mat.zeros(c.group.p, 0, 0)))
             continue
         mat = solve(kappa.matrix, c.diffs[0].matrix)
@@ -475,14 +453,9 @@ def _solve_step_dense(src: Module, tgt: Module, d_mat: Mat, rhs: Mat):
     ds, dt = src.dim, tgt.dim
     if ds == 0 or dt == 0:
         return Mat.zeros(p, dt, ds)
-    eye_s = np.eye(ds, dtype=np.int64)
-    eye_t = np.eye(dt, dtype=np.int64)
-    blocks = [
-        Mat(p, np.kron(eye_t, a_s.a.T) - np.kron(a_t.a, eye_s))
-        for a_s, a_t in zip(src.action, tgt.action)
-    ]
-    blocks.append(Mat(p, np.kron(d_mat.a, eye_s)))
-    lhs = vstack(blocks)
+    lhs = vstack(
+        [_intertwiner_system(src, tgt), Mat(p, np.kron(d_mat.a, np.eye(ds, dtype=np.int64)))]
+    )
     target_vec = np.concatenate(
         [np.zeros(ds * dt * src.group.rank, dtype=np.int64), rhs.a.reshape(-1)]
     )

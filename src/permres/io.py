@@ -3,7 +3,8 @@
 All files are canonical: sorted keys, compact separators, integer-only
 entries, one trailing newline.  parse(serialize(x)) round-trips exactly
 and serialize(parse(text)) reproduces the bytes, so fixed seeds give
-byte-identical outputs.
+byte-identical outputs.  On input every integer field must be a JSON
+integer: ``true`` and ``false`` are rejected, not read as 1 and 0.
 
 * module file:     {p, rank, dim, generators: [flat row-major, one per generator]}
 * descriptor file: {p, rank, parts: [[subgroup basis rows], ...]}
@@ -47,7 +48,7 @@ def _unflat(p, rows, cols, entries, what) -> Mat:
     if len(entries) != rows * cols:
         raise FormatError(f"{what}: expected {rows * cols} entries, got {len(entries)}")
     for x in entries:
-        if not isinstance(x, int) or not 0 <= x < p:
+        if type(x) is not int or not 0 <= x < p:
             raise FormatError(f"{what}: entry {x!r} is not a reduced residue mod {p}")
     return Mat(p, np.array(entries, dtype=np.int64).reshape(rows, cols))
 
@@ -68,7 +69,7 @@ def module_to_obj(m: Module) -> dict:
 def _module_body_from_obj(group: Group, obj, what="module") -> Module:
     dim = obj.get("dim")
     gens = obj.get("generators")
-    if not isinstance(dim, int) or dim < 0 or not isinstance(gens, list):
+    if type(dim) is not int or dim < 0 or not isinstance(gens, list):
         raise FormatError(f"{what}: need integer dim and a generator list")
     if len(gens) != group.rank:
         raise FormatError(f"{what}: expected {group.rank} generators, got {len(gens)}")
@@ -81,7 +82,7 @@ def _module_body_from_obj(group: Group, obj, what="module") -> Module:
 
 def _group_from_obj(obj) -> Group:
     p, rank = obj.get("p"), obj.get("rank")
-    if not isinstance(p, int) or not isinstance(rank, int):
+    if type(p) is not int or type(rank) is not int:
         raise FormatError("need integer fields p and rank")
     try:
         return Group(p, rank)
@@ -109,7 +110,7 @@ def _part_from_rows(group: Group, rows, what) -> Subgroup:
         if not isinstance(row, list) or len(row) != group.rank:
             raise FormatError(f"{what}: basis rows must have length {group.rank}")
         for x in row:
-            if not isinstance(x, int) or not 0 <= x < group.p:
+            if type(x) is not int or not 0 <= x < group.p:
                 raise FormatError(f"{what}: entry {x!r} out of range")
     sub = Subgroup(group, rows)
     if _part_rows(sub) != rows:
@@ -237,7 +238,7 @@ def complex_from_obj(obj) -> LoadedComplex:
         )
     meta = obj.get("meta") or {}
     m = meta.get("m")
-    if m is not None and (not isinstance(m, int) or m < 0):
+    if m is not None and (type(m) is not int or m < 0):
         raise FormatError("meta.m must be a non-negative integer or null")
     return LoadedComplex(
         complex=Complex(tuple(terms), diffs, aug),

@@ -3,8 +3,9 @@
 Matrices are immutable int64 numpy arrays with every entry reduced to
 {0, ..., p-1}.  All arithmetic is exact.  Products are evaluated in
 float64 so that BLAS does the work; this is exact as long as
-(p-1)^2 * inner_dim stays below 2^53, which holds with a huge margin at
-the configured caps, and there is an int64 fallback beyond that.
+(p-1)^2 * inner_dim stays below 2^53, which holds for every p the default
+order cap admits.  Beyond that bound (a large p under a raised cap) the
+product is taken over Python integers and reduced mod p, exact but slow.
 
 Conventions (all deterministic, so downstream outputs are golden-testable):
 
@@ -177,8 +178,8 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     if (p - 1) * (p - 1) * inner < _FLOAT_EXACT_BOUND:
         prod = x.astype(np.float64) @ y.astype(np.float64)
         return np.rint(prod).astype(np.int64) % p
-    # exact but slow; unreachable at the configured caps
-    return (x @ y) % p
+    # int64 would overflow here; Python integers do not
+    return (x.astype(object) @ y.astype(object) % p).astype(np.int64)
 
 
 def mat_pow(m: Mat, e: int) -> Mat:
@@ -274,6 +275,22 @@ def row_space(m: Mat) -> Mat:
     """Canonical basis of the row space: nonzero rows of the rref."""
     a, pivots = _echelon(m.a, m.p, reduced=True)
     return Mat._wrap(m.p, a[: len(pivots)].copy())
+
+
+def complement_projection(rows: Mat):
+    """(rho, pivots): rho v is v reduced modulo the row span of ``rows``.
+
+    ``pivots`` are the pivot columns of rref(rows); rho subtracts from v
+    the multiples of the rref rows that clear its pivot coordinates, so
+    rho v depends only on v modulo the span and vanishes on the pivots.
+    """
+    red, s, pivots = rref(rows)
+    d = rows.cols
+    sel = np.zeros((s, d), dtype=np.int64)
+    for k, c in enumerate(pivots):
+        sel[k, c] = 1
+    rho = (np.eye(d, dtype=np.int64) - red.a[:s].T @ sel) % rows.p
+    return Mat._wrap(rows.p, rho), pivots
 
 
 def nullspace(m: Mat) -> Mat:

@@ -19,12 +19,12 @@ from .groups import Group
 from .linalg import (
     Mat,
     block_diag,
+    complement_projection,
     hstack,
     mat_pow,
     nullspace,
     rank,
     row_space,
-    rref,
     solve,
     vstack,
 )
@@ -248,21 +248,10 @@ def quotient(m: Module, incl: ModuleMap):
         raise ValueError("inclusion does not land in the module")
     if not incl.is_injective():
         raise NotInjective("quotient by a non-injective map")
-    p = m.group.p
-    d = m.dim
-    red, s, pivots = rref(incl.matrix.T)
-    basis = red.a[:s]
-    free = [c for c in range(d) if c not in set(pivots)]
-    # rho reduces modulo the image: subtract pivot-coordinate multiples of basis rows
-    sel = np.zeros((s, d), dtype=np.int64)
-    for k, c in enumerate(pivots):
-        sel[k, c] = 1
-    rho = (np.eye(d, dtype=np.int64) - basis.T @ sel) % p
-    rows_f = np.zeros((len(free), d), dtype=np.int64)
-    for j, f in enumerate(free):
-        rows_f[j, f] = 1
-    proj_mat = Mat(p, rows_f @ rho % p)
-    section = Mat(p, rows_f.T)
+    rho, pivots = complement_projection(incl.matrix.T)
+    free = [c for c in range(m.dim) if c not in set(pivots)]
+    proj_mat = rho.take_rows(free)
+    section = Mat.identity(m.group.p, m.dim).take_cols(free)
     action = tuple(proj_mat @ a @ section for a in m.action)
     q = Module(m.group, action)
     proj = ModuleMap(m, q, proj_mat)
@@ -334,18 +323,27 @@ def hom_space(m: Module, n: Module) -> list[Mat]:
     """Canonical basis of the intertwiners {X : X A_i^M = A_i^N X}."""
     if m.group != n.group:
         raise GroupMismatch("hom across different groups")
-    p = m.group.p
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
-    blocks = []
-    eye_m = np.eye(dm, dtype=np.int64)
-    eye_n = np.eye(dn, dtype=np.int64)
-    for a_m, a_n in zip(m.action, n.action):
-        # row-major vec: vec(X A) = (I (x) A^T) vec X, vec(B X) = (B (x) I) vec X
-        blocks.append(Mat(p, np.kron(eye_n, a_m.a.T) - np.kron(a_n.a, eye_m)))
-    basis = nullspace(vstack(blocks))
-    return [Mat(p, basis.a[:, j].reshape(dn, dm)) for j in range(basis.cols)]
+    basis = nullspace(_intertwiner_system(m, n))
+    return [Mat(m.group.p, basis.a[:, j].reshape(dn, dm)) for j in range(basis.cols)]
+
+
+def _intertwiner_system(m: Module, n: Module) -> Mat:
+    """Equations X A_i^M = A_i^N X on the row-major vec of X (n.dim x m.dim).
+
+    vec(X A) = (I (x) A^T) vec X and vec(B X) = (B (x) I) vec X, one block
+    of rows per generator.
+    """
+    eye_m = np.eye(m.dim, dtype=np.int64)
+    eye_n = np.eye(n.dim, dtype=np.int64)
+    return vstack(
+        [
+            Mat(m.group.p, np.kron(eye_n, a_m.a.T) - np.kron(a_n.a, eye_m))
+            for a_m, a_n in zip(m.action, n.action)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -62,18 +62,6 @@ class PermutationDescriptor:
         return "[" + " + ".join(repr(p) for p in self.parts) + "]"
 
 
-def descriptor_dim(d: PermutationDescriptor) -> int:
-    return d.dim
-
-
-def descriptor_eq(d1: PermutationDescriptor, d2: PermutationDescriptor) -> bool:
-    return d1 == d2
-
-
-def is_free_descriptor(d: PermutationDescriptor) -> bool:
-    return d.is_free()
-
-
 @dataclass(frozen=True)
 class TaggedModule:
     """A module together with a permutation basis.
@@ -90,6 +78,25 @@ class TaggedModule:
     @property
     def descriptor(self) -> PermutationDescriptor:
         return PermutationDescriptor(self.module.group, self.parts)
+
+
+def direct_sum_tag(module: Module, tags) -> TaggedModule:
+    """The tag of a block direct sum, composed from the tags of its blocks.
+
+    ``module`` is the block-diagonal sum of the tagged modules, in order.
+    Parts are concatenated and the part indices of ``basis_map`` offset.
+    Orbits never cross blocks, so this is what ``recognize`` returns when
+    every block's tag is itself a recognized one.
+    """
+    parts = []
+    basis_map = []
+    for tag in tags:
+        offset = len(parts)
+        parts.extend(tag.parts)
+        basis_map.extend((idx + offset, rep) for idx, rep in tag.basis_map)
+    if len(basis_map) != module.dim:
+        raise InternalError("summand tags do not cover the direct sum")
+    return TaggedModule(module=module, parts=tuple(parts), basis_map=tuple(basis_map))
 
 
 def realize_part(group: Group, part: Subgroup):

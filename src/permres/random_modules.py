@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InternalError
 from .groups import Group
-from .linalg import Mat, nullspace, row_space, rref, vstack
+from .linalg import Mat, complement_projection, nullspace, row_space, vstack
 from .modules import (
     Module,
     free_module,
@@ -76,14 +76,7 @@ def _socle_over(free: Module, rows: Mat) -> Mat:
     Any such v outside the span generates, modulo the span, exactly one
     new dimension.
     """
-    p = free.group.p
-    d = free.dim
-    red, s, pivots = rref(rows)
-    basis = red.a[:s]
-    sel = np.zeros((s, d), dtype=np.int64)
-    for k, c in enumerate(pivots):
-        sel[k, c] = 1
-    rho = (np.eye(d, dtype=np.int64) - basis.T @ sel) % p
-    eye = np.eye(d, dtype=np.int64)
-    blocks = [Mat(p, rho @ ((a.a - eye) % p) % p) for a in free.action]
+    rho, _ = complement_projection(rows)
+    eye = np.eye(free.dim, dtype=np.int64)
+    blocks = [Mat(rows.p, rho.a @ ((a.a - eye) % rows.p)) for a in free.action]
     return nullspace(vstack(blocks))

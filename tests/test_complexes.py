@@ -29,6 +29,7 @@ from permres.modules import (
     trivial_module,
     zero_map,
 )
+from permres.permutation import recognize
 
 C2 = Group(2, 1)
 C3 = Group(3, 1)
@@ -105,6 +106,9 @@ class TestCone:
         cn = cone(ident)
         assert all(h == 0 for h in homology_dims(cn))
         assert cn.tags is not None
+        # composed tags are exactly the recognized ones, basis_map included
+        for tag, term in zip(cn.tags, cn.terms):
+            assert tag == recognize(term)
 
     def test_cone_of_zero_from_zero_complex(self):
         c = periodic_piece_c2()
@@ -205,13 +209,17 @@ class TestLift:
 
 class TestAssembly:
     def test_direct_sum_complexes(self):
-        a = periodic_piece_c2()
+        a = tag_complex(periodic_piece_c2())
         f = free_module(C2, 1)
-        b = single_term_complex(f, identity_map(f))
+        b = tag_complex(single_term_complex(f, identity_map(f)))
         s = direct_sum_complexes(a, b)
         assert s.dims() == (4, 2, 1)
         assert is_resolution(s)
         assert s.aug.target.dim == 3
+        # composed tags are exactly the recognized ones, basis_map included
+        assert s.tags is not None
+        for tag, term in zip(s.tags, s.terms):
+            assert tag == recognize(term)
 
     def test_retarget(self):
         c = periodic_piece_c2()

@@ -66,10 +66,11 @@ class TestRoundTrips:
         assert loaded.complex.terms[0] == free_module(group, 1)
 
     def test_malformed_entries_rejected(self):
-        obj = module_to_obj(trivial_module(Group(2, 1), 1))
-        obj["generators"][0] = [7]
-        with pytest.raises(FormatError):
-            module_from_obj(obj)
+        for bad in ([7], [True]):
+            obj = module_to_obj(trivial_module(Group(2, 1), 1))
+            obj["generators"][0] = bad
+            with pytest.raises(FormatError):
+                module_from_obj(obj)
 
     def test_detect_kind(self):
         assert detect_kind({"terms": []}) == "complex"

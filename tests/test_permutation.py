@@ -8,9 +8,6 @@ from permres.linalg import Mat
 from permres.modules import Module, free_module, tensor, trivial_module
 from permres.permutation import (
     PermutationDescriptor,
-    descriptor_dim,
-    descriptor_eq,
-    is_free_descriptor,
     mackey_tensor,
     realize,
     recognize,
@@ -77,8 +74,8 @@ class TestRealize:
         for group in (V4, C3_2):
             subs = all_subgroups(group)
             d = desc(group, *subs)
-            assert realize(d).module.dim == descriptor_dim(d)
-            assert descriptor_dim(d) == sum(s.index for s in subs)
+            assert realize(d).module.dim == d.dim
+            assert d.dim == sum(s.index for s in subs)
 
 
 class TestRecognize:
@@ -135,7 +132,7 @@ class TestMackey:
         unit = desc(C3_2, Subgroup.full(C3_2))
         assert tensor_descriptor(d1, unit) == d1
         d2 = desc(C3_2, subs[0], subs[3])
-        assert descriptor_dim(tensor_descriptor(d1, d2)) == descriptor_dim(d1) * descriptor_dim(d2)
+        assert tensor_descriptor(d1, d2).dim == d1.dim * d2.dim
 
     def test_multi_part_tensor_matches_recognition(self):
         subs = all_subgroups(C3_2)
@@ -153,21 +150,21 @@ class TestMackey:
                     realize(desc(group, h)).module, realize(desc(group, k)).module
                 )
                 assert recognize(product).descriptor == predicted
-                assert descriptor_dim(predicted) == h.index * k.index
+                assert predicted.dim == h.index * k.index
 
 
 class TestDescriptorHelpers:
     def test_dims(self):
-        assert descriptor_dim(desc(V4, Subgroup.full(V4))) == 1
-        assert descriptor_dim(desc(V4, Subgroup.trivial(V4))) == 4
+        assert desc(V4, Subgroup.full(V4)).dim == 1
+        assert desc(V4, Subgroup.trivial(V4)).dim == 4
 
     def test_equality_order_free(self):
         subs = all_subgroups(V4)
         a = desc(V4, subs[0], subs[2])
         b = desc(V4, subs[2], subs[0])
-        assert descriptor_eq(a, b)
+        assert a == b
 
     def test_is_free(self):
         t = Subgroup.trivial(V4)
-        assert is_free_descriptor(desc(V4, t, t))
-        assert not is_free_descriptor(desc(V4, t, Subgroup.full(V4)))
+        assert desc(V4, t, t).is_free()
+        assert not desc(V4, t, Subgroup.full(V4)).is_free()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from permres.complexes import (
 )
 from permres.errors import OddLength, SelectionFailed
 from permres.groups import Group
+from permres.io import canonical_dumps, complex_to_obj
 from permres.linalg import Mat
 from permres.modules import (
     ModuleMap,
@@ -242,6 +245,18 @@ class TestGoodResolution:
             assert res.report.ok
             assert euler_characteristic(res.complex) == mod.dim
             assert free_up_to(res.complex, m)
+
+    def test_output_bytes_are_pinned(self):
+        # sha256 of the canonical output file; a construction change shows here
+        golden = {
+            (2, 1, 3, 1, 603): "668a54ad9cbafb45ebd0ce1d1f05058766af976b4eac141af23ee914b153326e",
+            (3, 2, 2, 1, 632): "b128cb35c2771b5fbdc198d2313145aa36324706bbcbfc6213cf85aef3b77f7a",
+            (2, 3, 2, 0, 7): "bdd80df8701b62669147b550ba6613767c9d8cca3ea79a397936f3ef5404f58d",
+        }
+        for (p, r, dim, m, seed), digest in golden.items():
+            res = good_resolution(random_module(p, r, dim, seed), m)
+            text = canonical_dumps(complex_to_obj(res.complex, m=res.m))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_syzygy_identity(self):
         mod = random_module(2, 2, 3, seed=5)
