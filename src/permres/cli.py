@@ -112,6 +112,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_omega(args) -> int:
+    if args.n < 0:
+        raise FormatError(f"--n must be >= 0, got {args.n}")
     mod = _load_module(args.module)
     current = mod
     for _ in range(args.n):
@@ -262,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap_dim is not None or args.cap_order is not None:
-        config.set_caps(dim_cap=args.cap_dim, order_cap=args.cap_order)
-    if args.trials is not None:
-        config.set_trials(args.trials)
+    saved = config.dim_cap(), config.order_cap(), config.trials()
     try:
+        config.set_caps(dim_cap=args.cap_dim, order_cap=args.cap_order)
+        if args.trials is not None:
+            config.set_trials(args.trials)
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -277,6 +279,9 @@ def main(argv=None) -> int:
     except (PermresError, FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        config.set_caps(dim_cap=saved[0], order_cap=saved[1])
+        config.set_trials(saved[2])
 
 
 if __name__ == "__main__":

@@ -4,13 +4,15 @@ Homological indexing: differentials lower degree, d_j : C_j -> C_(j-1),
 and an optional augmentation eps : C_0 -> M is treated as the degree-0
 boundary for exactness purposes.
 
-The builders check only the shapes of what they glue.  ``cone`` and
+The constructors check only the shapes of what they glue, and every
+direct sum of terms is one ``block_sum``.  ``cone`` and
 ``direct_sum_complexes`` compose the tags of their terms from the tags of
 their inputs (``direct_sum_tag``); ``tensor_complexes`` recognizes its
-terms, since a Mackey basis is not a concatenation.  Nothing here is ever
-*assumed* exact: ``certify_resolution`` is the one place that recomputes
-d^2 = 0, all homology dimensions, tag recognition and freeness from
-scratch.
+terms, since a Mackey basis is not a concatenation.  ``truncate`` takes
+its input to be exact, and the free step of ``lift_chain_map`` does not
+multiply out its answer.  ``certify_resolution`` is the one place that
+recomputes d^2 = 0, all homology dimensions, tag recognition and
+freeness, trusting none of them.
 
 Sign conventions (the certified statements are sign-independent):
 
@@ -24,23 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError, LiftFailed, NotResolution
+from .errors import LiftFailed, NotResolution
 from .groups import Group
-from .linalg import Mat, block_diag, permutation_vector, solve, vstack
+from .linalg import Mat, block_diag, solve, vstack
 from .modules import (
     Module,
     ModuleMap,
     _intertwiner_system,
+    block_sum,
     check_module_map,
-    direct_sum,
+    free_rank,
     kernel,
     orbit_columns,
-    projective_cover,
     tensor,
     trivial_module,
     validate_module,
 )
-from .permutation import TaggedModule, direct_sum_tag, element_images, recognize
+from .permutation import TaggedModule, direct_sum_tag, recognize
 
 
 @dataclass(frozen=True)
@@ -166,20 +168,15 @@ def is_resolution(c: Complex) -> bool:
     return all(h == 0 for h in homology_dims(c))
 
 
-def is_free_module(m: Module) -> bool:
-    """Free = projective cover is bijective."""
-    return projective_cover(m).free.dim == m.dim
-
-
 def free_up_to(c: Complex, m: int) -> bool:
-    """Every term in degrees 0..min(m, top) is free."""
+    """Every term in degrees 0..min(m, top) is free, by its tag or its free rank."""
     if m < 0:
         raise ValueError("freeness degree must be >= 0")
     for j in range(0, min(m, c.top) + 1):
         if c.tags is not None:
             if not c.tags[j].descriptor.is_free():
                 return False
-        elif not is_free_module(c.terms[j]):
+        elif free_rank(c.terms[j]) * c.group.order != c.terms[j].dim:
             return False
     return True
 
@@ -216,28 +213,21 @@ def direct_sum_complexes(a: Complex, b: Complex) -> Complex:
     group = a.group
     p = group.p
     n = max(a.top, b.top)
-    terms = []
-    for j in range(n + 1):
-        ta = a.terms[j] if j <= a.top else trivial_module(group, 0)
-        tb = b.terms[j] if j <= b.top else trivial_module(group, 0)
-        terms.append(direct_sum(ta, tb).module)
-    diffs = []
-    for j in range(1, n + 1):
-        rows_a = a.terms[j - 1].dim if j - 1 <= a.top else 0
-        cols_a = a.terms[j].dim if j <= a.top else 0
-        mat = np.zeros((terms[j - 1].dim, terms[j].dim), dtype=np.int64)
-        if j <= a.top:
-            mat[:rows_a, :cols_a] = a.diffs[j - 1].matrix.a
-        if j <= b.top:
-            mat[rows_a:, cols_a:] = b.diffs[j - 1].matrix.a
-        diffs.append(ModuleMap(terms[j], terms[j - 1], Mat(p, mat)))
+    terms = [block_sum(group, a.terms[j : j + 1] + b.terms[j : j + 1]) for j in range(n + 1)]
+
+    def diff(c: Complex, j: int) -> Mat:
+        if j <= c.top:
+            return c.diffs[j - 1].matrix
+        return Mat.zeros(p, c.terms[j - 1].dim if j - 1 <= c.top else 0, 0)
+
+    diffs = [
+        ModuleMap(terms[j], terms[j - 1], block_diag(p, [diff(a, j), diff(b, j)]))
+        for j in range(1, n + 1)
+    ]
     aug = None
     if a.aug is not None and b.aug is not None:
-        tgt = direct_sum(a.aug.target, b.aug.target)
-        mat = np.zeros((tgt.module.dim, terms[0].dim), dtype=np.int64)
-        mat[: a.aug.target.dim, : a.terms[0].dim] = a.aug.matrix.a
-        mat[a.aug.target.dim :, a.terms[0].dim :] = b.aug.matrix.a
-        aug = ModuleMap(terms[0], tgt.module, Mat(p, mat))
+        tgt = block_sum(group, (a.aug.target, b.aug.target))
+        aug = ModuleMap(terms[0], tgt, block_diag(p, [a.aug.matrix, b.aug.matrix]))
     tags = None
     if a.tags is not None and b.tags is not None:
         tags = tuple(
@@ -256,11 +246,10 @@ def cone(f: ChainMap) -> Complex:
     group = q.group
     p = group.p
     n = max(q.top + 1, pc.top)
-    terms = []
-    for j in range(n + 1):
-        tq = q.terms[j - 1] if 1 <= j <= q.top + 1 else trivial_module(group, 0)
-        tp = pc.terms[j] if j <= pc.top else trivial_module(group, 0)
-        terms.append(direct_sum(tq, tp).module)
+    terms = [
+        block_sum(group, (q.terms[j - 1 : j] if j else ()) + pc.terms[j : j + 1])
+        for j in range(n + 1)
+    ]
     diffs = []
     for j in range(1, n + 1):
         rows_q = q.terms[j - 2].dim if 2 <= j <= q.top + 2 else 0
@@ -311,8 +300,7 @@ def tensor_complexes(a: Complex, b: Complex) -> Complex:
             offsets[i, j] = off
             off += tm.dim
             mods.append(tm)
-        action = tuple(block_diag(p, [m.action[g] for m in mods]) for g in range(group.rank))
-        terms.append(Module(group, action))
+        terms.append(block_sum(group, mods))
     diffs = []
     for n in range(1, n_total + 1):
         rows = terms[n - 1].dim
@@ -354,13 +342,14 @@ def syzygy(c: Complex, j: int) -> Module:
     return kernel(b)[0]
 
 
-def truncate(c: Complex, steps: int = 1, check: bool = True) -> Complex:
-    """Drop degree 0 and re-augment onto ker(eps): a resolution of the syzygy."""
+def truncate(c: Complex, steps: int = 1) -> Complex:
+    """Drop degree 0 and re-augment onto ker(eps): a resolution of the syzygy.
+
+    The input is taken to be exact; only the re-augmentation is checked.
+    """
     for _ in range(steps):
         if c.aug is None:
             raise NotResolution("cannot truncate an unaugmented complex")
-        if check and not is_resolution(c):
-            raise NotResolution("input complex is not exact")
         k, kappa = kernel(c.aug)
         if c.top == 0:
             if k.dim != 0:
@@ -424,27 +413,20 @@ def _solve_step(src: Module, tgt: Module, d_mat: Mat, rhs: Mat, tag: TaggedModul
 
 
 def _solve_step_free(src: Module, tgt: Module, d_mat: Mat, rhs: Mat, tag: TaggedModule):
-    """Free source: solve on the free generators, extend by the action."""
+    """Free source: solve on the free generators, extend by the action.
+
+    Each part of the tag is a free orbit listed in element order from its
+    first position, the generator, so its columns are A^x u for the image u.
+    """
     group = src.group
-    p = group.p
-    zero_rep = tuple([0] * group.rank)
-    bases = [k for k, (_, rep) in enumerate(tag.basis_map) if rep == zero_rep]
-    if len(bases) * group.order != src.dim:
-        raise InternalError("free tag has the wrong number of generators")
-    gen_rhs = rhs.take_cols(bases)
-    u = solve(d_mat, gen_rhs)
+    orbits = sorted(tag.positions())
+    u = solve(d_mat, rhs.take_cols([orbit[0] for orbit in orbits]))
     if u is None:
         return None
     x = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    perms = [permutation_vector(a) for a in src.action]
-    for col, base in enumerate(bases):
-        cols = orbit_columns(group, tgt.action, u.a[:, col])
-        images = element_images(group, perms, base)
-        x[:, images] = cols
-    xm = Mat(p, x)
-    if d_mat @ xm != rhs:
-        raise InternalError("free extension does not satisfy the lifting equation")
-    return xm
+    for col, orbit in enumerate(orbits):
+        x[:, orbit] = orbit_columns(group, tgt.action, u.a[:, col])
+    return Mat(group.p, x)
 
 
 def _solve_step_dense(src: Module, tgt: Module, d_mat: Mat, rhs: Mat):

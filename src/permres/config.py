@@ -3,7 +3,8 @@
 Resolution sizes grow exponentially in the input dimension, so every
 module constructor checks the dimension cap and every group constructor
 checks the order cap; both fail fast with CapExceeded.  The caps are
-process-wide and mutable (the CLI sets them from flags).
+process-wide and mutable; the CLI sets them from flags for one call and
+restores them when it returns.
 """
 
 from .errors import CapExceeded

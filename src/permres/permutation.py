@@ -79,6 +79,13 @@ class TaggedModule:
     def descriptor(self) -> PermutationDescriptor:
         return PermutationDescriptor(self.module.group, self.parts)
 
+    def positions(self) -> list[list[int]]:
+        """Each part's basis positions, in coset-representative order."""
+        out = [[] for _ in self.parts]
+        for k in sorted(range(len(self.basis_map)), key=self.basis_map.__getitem__):
+            out[self.basis_map[k][0]].append(k)
+        return out
+
 
 def direct_sum_tag(module: Module, tags) -> TaggedModule:
     """The tag of a block direct sum, composed from the tags of its blocks.

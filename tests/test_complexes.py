@@ -19,20 +19,24 @@ from permres.complexes import (
     tensor_complexes,
     truncate,
 )
-from permres.errors import NotResolution
+from permres.errors import NotPermutationBasis, NotResolution
 from permres.groups import Group
-from permres.linalg import Mat
+from permres.linalg import Mat, inverse
 from permres.modules import (
+    Module,
     ModuleMap,
+    direct_sum,
     free_module,
     identity_map,
     trivial_module,
     zero_map,
 )
 from permres.permutation import recognize
+from permres.resolution import periodic_complex, trivial_resolution
 
 C2 = Group(2, 1)
 C3 = Group(3, 1)
+V4 = Group(2, 2)
 
 
 def periodic_piece_c2():
@@ -49,6 +53,16 @@ def periodic_piece_c2():
     d2 = ModuleMap(k, f, Mat(2, [[1], [1]]))
     eps = ModuleMap(f, k, Mat(2, [[1, 1]]))
     return Complex((f, f, k), (d1, d2), eps)
+
+
+def conjugated(mod):
+    """The same module in a basis that is not a permutation basis."""
+    g = Mat(mod.group.p, np.triu(np.ones((mod.dim, mod.dim), dtype=np.int64)))
+    g_inv = inverse(g)
+    out = Module(mod.group, tuple(g @ a @ g_inv for a in mod.action))
+    with pytest.raises(NotPermutationBasis):
+        recognize(out)
+    return out
 
 
 class TestHomology:
@@ -82,20 +96,39 @@ class TestHomology:
 class TestFreeUpTo:
     def test_free_single_term(self):
         f = free_module(C3, 2)
-        c = single_term_complex(f, identity_map(f))
-        for m in range(4):
-            assert free_up_to(c, m)
+        for term in (f, conjugated(f)):
+            c = single_term_complex(term, identity_map(term))
+            for m in range(4):
+                assert free_up_to(c, m)
 
     def test_trivial_term_is_not_free(self):
         c = periodic_piece_c2()
         assert free_up_to(c, 0)
         assert free_up_to(c, 1)
         assert not free_up_to(c, 2)  # degree 2 is k
+        free = conjugated(free_module(C3, 2))
+        mixed = conjugated(direct_sum(free_module(C3, 1), trivial_module(C3, 1)).module)
+        c = Complex((free, mixed), (zero_map(mixed, free),))
+        assert free_up_to(c, 0)
+        assert not free_up_to(c, 1)
 
     def test_tagged_path(self):
         c = tag_complex(periodic_piece_c2())
         assert free_up_to(c, 1)
         assert not free_up_to(c, 2)
+        # the tagged and the untagged path agree wherever both exist
+        f = free_module(C2, 1)
+        mixed = direct_sum(f, trivial_module(C2, 1)).module
+        for c in (
+            periodic_piece_c2(),
+            single_term_complex(f, identity_map(f)),
+            Complex((f, mixed), (zero_map(mixed, f),)),
+            periodic_complex(V4, 2, 4),
+            trivial_resolution(V4, 1).complex,
+        ):
+            untagged = Complex(c.terms, c.diffs, c.aug)
+            for m in range(c.top + 2):
+                assert free_up_to(untagged, m) == free_up_to(tag_complex(c), m)
 
 
 class TestCone:

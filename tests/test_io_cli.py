@@ -143,6 +143,16 @@ class TestCli:
         loaded = module_from_obj(json.loads(out_path.read_text()))
         assert loaded.dim == 2
 
+    def test_omega_rejects_negative_n(self, tmp_path, capsys):
+        mod_path = tmp_path / "k.json"
+        mod_path.write_text(canonical_dumps(module_to_obj(trivial_module(Group(3, 1), 1))))
+        out_path = tmp_path / "w.json"
+        assert self.run("omega", str(mod_path), "--n", "-3", "--out", str(out_path)) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out_path.exists()
+        assert self.run("omega", str(mod_path), "--n", "0", "--out", str(out_path)) == 0
+        assert module_from_obj(json.loads(out_path.read_text())).dim == 1
+
     def test_omega_of_free_is_zero(self, tmp_path, capsys):
         mod_path = tmp_path / "f.json"
         mod_path.write_text(canonical_dumps(module_to_obj(free_module(Group(2, 1), 1))))
@@ -225,8 +235,17 @@ class TestCli:
             "--cap-dim", "3", "random", "--p", "2", "--r", "1", "--dim", "2",
             "--out", str(tmp_path / "m.json"),
         )
-        config.set_caps(dim_cap=config.DEFAULT_DIM_CAP, order_cap=config.DEFAULT_ORDER_CAP)
         assert code == 3
+        # flags hold for one call only
+        assert config.dim_cap() == config.DEFAULT_DIM_CAP
+        assert config.order_cap() == config.DEFAULT_ORDER_CAP
+        code = self.run(
+            "--trials", "5", "--cap-order", "9", "random", "--p", "2", "--r", "1",
+            "--dim", "2", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 0
+        assert config.trials() == config.DEFAULT_TRIALS
+        assert config.order_cap() == config.DEFAULT_ORDER_CAP
 
     def test_every_written_file_reverifies(self, tmp_path):
         mod_path = tmp_path / "m.json"

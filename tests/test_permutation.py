@@ -2,17 +2,20 @@ import itertools
 
 import pytest
 
+from permres.complexes import ChainMap, cone
 from permres.errors import NotPermutationBasis
 from permres.groups import Group, Subgroup, all_subgroups
-from permres.linalg import Mat
-from permres.modules import Module, free_module, tensor, trivial_module
+from permres.linalg import Mat, permutation_vector
+from permres.modules import Module, free_module, identity_map, tensor, trivial_module
 from permres.permutation import (
     PermutationDescriptor,
+    element_images,
     mackey_tensor,
     realize,
     recognize,
     tensor_descriptor,
 )
+from permres.resolution import periodic_complex
 
 V4 = Group(2, 2)
 C2_3 = Group(2, 3)
@@ -92,6 +95,39 @@ class TestRecognize:
     def test_trivial_module_tags_as_full_parts(self):
         tagged = recognize(trivial_module(V4, 2))
         assert tagged.descriptor == desc(V4, Subgroup.full(V4), Subgroup.full(V4))
+
+    def assert_positions_are_orbits(self, tag):
+        group = tag.module.group
+        perms = [permutation_vector(a) for a in tag.module.action]
+        positions = tag.positions()
+        assert sorted(k for pos in positions for k in pos) == list(range(tag.module.dim))
+        for idx, (part, pos) in enumerate(zip(tag.parts, positions)):
+            reps = part.coset_reps()
+            assert [tag.basis_map[k] for k in pos] == [(idx, r) for r in reps]
+            images = element_images(group, perms, pos[0])
+            for v, image in zip(group.elements(), images):
+                assert image == pos[reps.index(part.reduce(v))]
+            if part.is_trivial():
+                assert list(images) == pos
+
+    def test_positions_of_recognized_tags(self):
+        subs = all_subgroups(V4)
+        lines = realize(desc(C3_2, *all_subgroups(C3_2)[1:3])).module
+        modules = [
+            realize(desc(V4, subs[0], subs[1], subs[1], subs[-1])).module,
+            tensor(lines, lines),
+            free_module(C2_3, 2),
+            trivial_module(V4, 2),
+        ]
+        for mod in modules:
+            self.assert_positions_are_orbits(recognize(mod))
+
+    def test_positions_of_composed_tags(self):
+        for group, i in ((V4, 2), (C3_2, 1)):
+            c = periodic_complex(group, i, 2)
+            cn = cone(ChainMap(c, c, tuple(identity_map(t) for t in c.terms)))
+            for tag in cn.tags:
+                self.assert_positions_are_orbits(tag)
 
     def test_rejects_non_permutation(self):
         m = Module(Group(2, 1), (Mat(2, [[1, 1], [0, 1]]),))

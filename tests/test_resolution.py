@@ -198,9 +198,7 @@ class TestSplice:
         )
         res_m = direct_sum_complexes(res_l1, extra)
         ell = res_m.top
-        res_omega = truncate(
-            trivial_resolution(C2, max(1, ell) + 1).complex, check=False
-        )
+        res_omega = truncate(trivial_resolution(C2, max(1, ell) + 1).complex)
         assert res_omega.aug.target == rot.ses.incl.source
         out = splice(res_omega, res_m, rot.ses.incl, rot.ses.proj)
         assert is_resolution(out)
