@@ -3,7 +3,7 @@
 # stands on.  No floats are ever trusted: products run through BLAS but
 # are provably exact, and every elimination is a mod-p row operation.
 
-from permres import Mat, nullspace, rank, rref, solve
+from permres.linalg import Mat, nullspace, rank, rref, solve
 
 # A matrix over F_5 whose second row is twice the first.
 a = Mat(5, [[1, 2], [2, 4]])

@@ -3,8 +3,8 @@
 # commuting generator matrices of order dividing p.  This walk-through
 # builds the classics over C_3 and takes their Heller loops.
 
-from permres import (
-    Group,
+from permres.groups import Group
+from permres.modules import (
     free_module,
     free_rank,
     iso_probe,

@@ -4,15 +4,13 @@
 # explicit matrices, and recognizing a module recovers the descriptor by
 # reading orbits and stabilizers off the permutation basis.
 
-from permres import (
-    Group,
+from permres.groups import Group, Subgroup, all_subgroups
+from permres.modules import tensor
+from permres.permutation import (
     PermutationDescriptor,
-    Subgroup,
-    all_subgroups,
     mackey_tensor,
     realize,
     recognize,
-    tensor,
     tensor_descriptor,
 )
 

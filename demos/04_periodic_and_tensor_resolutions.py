@@ -3,15 +3,14 @@
 # complex along each coordinate, then tensor the r factors together.
 # Every claim is certified by exact homology ranks, never assumed.
 
-from permres import (
-    Group,
+from permres.complexes import (
     euler_characteristic,
     free_up_to,
     homology_dims,
-    periodic_complex,
     tensor_complexes,
-    trivial_resolution,
 )
+from permres.groups import Group
+from permres.resolution import periodic_complex, trivial_resolution
 
 V4 = Group(2, 2)
 

@@ -5,15 +5,10 @@
 # rotating each 1-dimensional step through a projective cover and
 # splicing in a fresh resolution of the Heller loop via a mapping cone.
 
-from permres import (
-    euler_characteristic,
-    free_rank,
-    free_up_to,
-    good_resolution,
-    omega_iter,
-    random_module,
-    syzygy,
-)
+from permres.complexes import euler_characteristic, free_up_to, syzygy
+from permres.modules import free_rank, omega_iter
+from permres.random_modules import random_module
+from permres.resolution import good_resolution
 
 mod = random_module(3, 2, 3, seed=11)
 print("module: dim", mod.dim, "over p=3, rank 2")

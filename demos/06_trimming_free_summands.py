@@ -4,21 +4,22 @@
 # trimmed to one of M alone without losing freeness.  Here: resolve
 # k (+) kC_2 by a direct sum, then cancel the free block.
 
-from permres import (
-    Group,
-    ModuleMap,
-    direct_sum,
+from permres.complexes import (
     direct_sum_complexes,
-    free_module,
     free_up_to,
-    good_resolution,
-    identity_map,
     is_resolution,
     single_term_complex,
     tag_complex,
-    trim,
+)
+from permres.groups import Group
+from permres.modules import (
+    ModuleMap,
+    direct_sum,
+    free_module,
+    identity_map,
     trivial_module,
 )
+from permres.resolution import good_resolution, trim
 
 C2 = Group(2, 1)
 k = trivial_module(C2, 1)

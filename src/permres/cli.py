@@ -174,6 +174,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_trim(args) -> int:
+    if args.free_rank < 0:
+        raise FormatError(f"--free-rank must be >= 0, got {args.free_rank}")
     loaded = complex_from_obj(load_obj(args.complex))
     c = loaded.complex
     if c.aug is None:

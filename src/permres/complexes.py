@@ -419,13 +419,12 @@ def _solve_step_free(src: Module, tgt: Module, d_mat: Mat, rhs: Mat, tag: Tagged
     first position, the generator, so its columns are A^x u for the image u.
     """
     group = src.group
-    orbits = sorted(tag.positions())
-    u = solve(d_mat, rhs.take_cols([orbit[0] for orbit in orbits]))
+    orbits = np.array(tag.positions(), dtype=np.intp).reshape(-1, group.order)
+    u = solve(d_mat, rhs.take_cols(orbits[:, 0]))
     if u is None:
         return None
     x = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    for col, orbit in enumerate(orbits):
-        x[:, orbit] = orbit_columns(group, tgt.action, u.a[:, col])
+    x[:, orbits.reshape(-1)] = orbit_columns(group, tgt.action, u.a)
     return Mat(group.p, x)
 
 

@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import config
 from .errors import GroupMismatch
 from .linalg import Mat, check_prime, nullspace, row_space
@@ -38,11 +40,15 @@ class Group:
     def elements(self) -> tuple[tuple[int, ...], ...]:
         return _elements(self.p, self.rank)
 
-    def element_index(self, vec) -> int:
-        idx = 0
-        for v in vec:
-            idx = idx * self.p + int(v) % self.p
-        return idx
+    def steps(self) -> tuple[tuple[int, int], ...]:
+        """The walk over E: one (i, prev) per nonzero element, in element order.
+
+        Entry k belongs to the element x of index k + 1; i is the first
+        nonzero coordinate of x and prev the index of x - e_(i+1), which
+        comes earlier.  So anything indexed by E is filled in one pass,
+        applying the single generator e_(i+1) to the value at prev.
+        """
+        return _steps(self.p, self.rank)
 
     def generator(self, i: int) -> tuple[int, ...]:
         """The exponent vector of e_i (1-based i)."""
@@ -54,6 +60,17 @@ class Group:
 @lru_cache(maxsize=None)
 def _elements(p, rank):
     return tuple(itertools.product(range(p), repeat=rank))
+
+
+@lru_cache(maxsize=None)
+def _steps(p, rank):
+    # the first nonzero coordinate is i exactly for the indices in [s, p s),
+    # s = p^(rank-1-i), and subtracting e_(i+1) subtracts s from the index
+    out = []
+    for i in reversed(range(rank)):
+        s = p ** (rank - 1 - i)
+        out.extend((i, idx - s) for idx in range(s, p * s))
+    return tuple(out)
 
 
 class Subgroup:
@@ -151,6 +168,19 @@ class Subgroup:
                 v[c] = x
             reps.append(tuple(v))
         return tuple(reps)
+
+    def translations(self) -> tuple[np.ndarray, ...]:
+        """How each generator moves the cosets of H.
+
+        Entry i - 1 is the index vector sigma of e_i on ``coset_reps()``:
+        e_i + reps[x] lies in the coset of reps[sigma[x]].
+        """
+        reps = self.coset_reps()
+        pos = {rep: k for k, rep in enumerate(reps)}
+        return tuple(
+            np.array([pos[self.reduce(np.add(rep, e_i))] for rep in reps], dtype=np.int64)
+            for e_i in np.eye(self.group.rank, dtype=np.int64)
+        )
 
     def __add__(self, other):
         """Subspace sum H + K."""

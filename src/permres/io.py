@@ -44,8 +44,20 @@ def _flat(mat: Mat) -> list[int]:
     return [int(x) for x in mat.a.reshape(-1)]
 
 
+def _object(obj, what) -> dict:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what}: expected a JSON object")
+    return obj
+
+
+def _list(obj, what) -> list:
+    if not isinstance(obj, list):
+        raise FormatError(f"{what}: expected a JSON list")
+    return obj
+
+
 def _unflat(p, rows, cols, entries, what) -> Mat:
-    if len(entries) != rows * cols:
+    if len(_list(entries, what)) != rows * cols:
         raise FormatError(f"{what}: expected {rows * cols} entries, got {len(entries)}")
     for x in entries:
         if type(x) is not int or not 0 <= x < p:
@@ -67,7 +79,7 @@ def module_to_obj(m: Module) -> dict:
 
 
 def _module_body_from_obj(group: Group, obj, what="module") -> Module:
-    dim = obj.get("dim")
+    dim = _object(obj, what).get("dim")
     gens = obj.get("generators")
     if type(dim) is not int or dim < 0 or not isinstance(gens, list):
         raise FormatError(f"{what}: need integer dim and a generator list")
@@ -81,6 +93,7 @@ def _module_body_from_obj(group: Group, obj, what="module") -> Module:
 
 
 def _group_from_obj(obj) -> Group:
+    obj = _object(obj, "top-level value")
     p, rank = obj.get("p"), obj.get("rank")
     if type(p) is not int or type(rank) is not int:
         raise FormatError("need integer fields p and rank")
@@ -104,9 +117,7 @@ def _part_rows(sub: Subgroup) -> list[list[int]]:
 
 
 def _part_from_rows(group: Group, rows, what) -> Subgroup:
-    if not isinstance(rows, list):
-        raise FormatError(f"{what}: part must be a list of basis rows")
-    for row in rows:
+    for row in _list(rows, f"{what} basis rows"):
         if not isinstance(row, list) or len(row) != group.rank:
             raise FormatError(f"{what}: basis rows must have length {group.rank}")
         for x in row:
@@ -128,9 +139,7 @@ def descriptor_to_obj(d: PermutationDescriptor) -> dict:
 
 def descriptor_from_obj(obj) -> PermutationDescriptor:
     group = _group_from_obj(obj)
-    parts = obj.get("parts")
-    if not isinstance(parts, list):
-        raise FormatError("descriptor: need a list of parts")
+    parts = _list(obj.get("parts"), "descriptor parts")
     subs = tuple(
         _part_from_rows(group, rows, f"part {i + 1}") for i, rows in enumerate(parts)
     )
@@ -190,7 +199,7 @@ def complex_from_obj(obj) -> LoadedComplex:
         if isinstance(body, dict) and body.get("realize"):
             parts = tuple(
                 _part_from_rows(group, rows, f"term {j} part")
-                for rows in body.get("parts", [])
+                for rows in _list(body.get("parts", []), f"term {j} parts")
             )
             terms.append(realize(PermutationDescriptor(group, parts)).module)
         else:
@@ -209,6 +218,7 @@ def complex_from_obj(obj) -> LoadedComplex:
     aug = None
     raw_aug = obj.get("augmentation")
     if raw_aug is not None:
+        raw_aug = _object(raw_aug, "augmentation")
         target = _module_body_from_obj(group, raw_aug.get("target", {}), "augmentation target")
         aug = ModuleMap(
             terms[0],
@@ -231,12 +241,12 @@ def complex_from_obj(obj) -> LoadedComplex:
                 group,
                 tuple(
                     _part_from_rows(group, rows, f"tag {j} part")
-                    for rows in tag_parts
+                    for rows in _list(tag_parts, f"tag {j}")
                 ),
             )
             for j, tag_parts in enumerate(raw_tags)
         )
-    meta = obj.get("meta") or {}
+    meta = _object(obj.get("meta") or {}, "meta")
     m = meta.get("m")
     if m is not None and (type(m) is not int or m < 0):
         raise FormatError("meta.m must be a non-negative integer or null")
@@ -254,9 +264,7 @@ def complex_from_obj(obj) -> LoadedComplex:
 
 
 def detect_kind(obj) -> str:
-    if not isinstance(obj, dict):
-        raise FormatError("top-level JSON value must be an object")
-    if "terms" in obj:
+    if "terms" in _object(obj, "top-level value"):
         return "complex"
     if "parts" in obj:
         return "descriptor"

@@ -183,16 +183,20 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
 
 def mat_pow(m: Mat, e: int) -> Mat:
+    """m^e by left-to-right binary powering: one square per bit after the
+    leading one, and one product by m per further set bit."""
     if m.rows != m.cols:
         raise DimensionMismatch("matrix power needs a square matrix")
-    result = Mat.identity(m.p, m.rows)
-    base = m
     e = int(e)
-    while e > 0:
-        if e & 1:
-            result = result @ base
-        base = base @ base
-        e >>= 1
+    if e < 0:
+        raise ValueError(f"matrix power needs an exponent >= 0, got {e}")
+    if e == 0:
+        return Mat.identity(m.p, m.rows)
+    result = m
+    for bit in bin(e)[3:]:
+        result = result @ result
+        if bit == "1":
+            result = result @ m
     return result
 
 
@@ -342,6 +346,14 @@ def permutation_vector(m: Mat):
     if not (np.all(a.sum(axis=0) == 1) and np.all(a.sum(axis=1) == 1)):
         return None
     return np.argmax(a, axis=0) if m.rows else np.zeros(0, dtype=np.int64)
+
+
+def permutation_matrix(p: int, sigma) -> Mat:
+    """The matrix with m e_x = e_{sigma[x]}: the inverse of ``permutation_vector``."""
+    n = len(sigma)
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.asarray(sigma, dtype=np.intp), np.arange(n)] = 1
+    return Mat._wrap(check_prime(p), a)
 
 
 def first_non_permutation_row(m: Mat):

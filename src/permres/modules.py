@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config
 from .errors import GroupMismatch, InternalError, NotInjective
-from .groups import Group
+from .groups import Group, Subgroup
 from .linalg import (
     Mat,
     block_diag,
@@ -23,6 +23,7 @@ from .linalg import (
     hstack,
     mat_pow,
     nullspace,
+    permutation_matrix,
     rank,
     row_space,
     solve,
@@ -159,18 +160,12 @@ def free_module(group: Group, t: int) -> Module:
     if t < 0:
         raise ValueError("rank must be >= 0")
     config.check_dim_cap(t * group.order)
-    elements = group.elements()
-    order = group.order
-    gens = []
-    for i in range(1, group.rank + 1):
-        e_i = group.generator(i)
-        block = np.zeros((order, order), dtype=np.int64)
-        for x in elements:
-            y = tuple((a + b) % group.p for a, b in zip(x, e_i))
-            block[group.element_index(y), group.element_index(x)] = 1
-        big = np.kron(np.eye(t, dtype=np.int64), block)
-        gens.append(Mat(group.p, big))
-    return Module(group, tuple(gens))
+    shift = group.order * np.arange(t)[:, None]
+    gens = tuple(
+        permutation_matrix(group.p, (sigma + shift).reshape(-1))
+        for sigma in Subgroup.trivial(group).translations()
+    )
+    return Module(group, gens)
 
 
 def validate_module(m: Module):
@@ -404,21 +399,19 @@ class Cover:
     free_rank: int
 
 
-def orbit_columns(group: Group, action: tuple[Mat, ...], v: np.ndarray) -> np.ndarray:
-    """Columns A^x v for all x in E, in lexicographic element order."""
-    d = len(v)
-    order = group.order
-    out = np.zeros((d, order), dtype=np.int64)
-    out[:, 0] = v % group.p
-    elements = group.elements()
-    for idx in range(1, order):
-        x = elements[idx]
-        i = next(c for c, val in enumerate(x) if val)
-        y = list(x)
-        y[i] -= 1
-        prev = group.element_index(y)
-        out[:, idx] = action[i].a @ out[:, prev] % group.p
-    return out
+def orbit_columns(group: Group, action: tuple[Mat, ...], vecs: np.ndarray) -> np.ndarray:
+    """The orbits of the columns of the d x t array ``vecs``, as d x (t |E|).
+
+    Block j (columns j |E| to (j + 1) |E| - 1) holds A^x v_j for all x in
+    E, in lexicographic element order.
+    """
+    p = group.p
+    walk = np.empty((group.order,) + vecs.shape, dtype=np.int64)
+    walk[0] = vecs % p
+    for idx, (i, prev) in enumerate(group.steps(), start=1):
+        walk[idx] = action[i].a @ walk[prev] % p
+    d, t = vecs.shape
+    return walk.transpose(1, 2, 0).reshape(d, t * group.order)
 
 
 def projective_cover(m: Module) -> Cover:
@@ -433,14 +426,9 @@ def projective_cover(m: Module) -> Cover:
     free_coords = [c for c in range(m.dim) if c not in piv]
     t = len(free_coords)
     f = free_module(m.group, t)
-    cols = []
-    for c in free_coords:
-        v = np.zeros(m.dim, dtype=np.int64)
-        v[c] = 1
-        cols.append(orbit_columns(m.group, m.action, v))
-    matrix = (
-        Mat(m.group.p, np.hstack(cols)) if cols else Mat.zeros(m.group.p, m.dim, 0)
-    )
+    gens = np.zeros((m.dim, t), dtype=np.int64)
+    gens[free_coords, np.arange(t)] = 1
+    matrix = Mat(m.group.p, orbit_columns(m.group, m.action, gens))
     pi = ModuleMap(f, m, matrix)
     if rank(matrix) != m.dim:
         raise InternalError("projective cover is not surjective")
@@ -504,8 +492,8 @@ def strip_free(m: Module) -> StripResult:
         if nu.is_zero():
             break
         j = int(np.flatnonzero(nu.a.any(axis=0))[0])
-        v = np.zeros(current.dim, dtype=np.int64)
-        v[j] = 1
+        v = np.zeros((current.dim, 1), dtype=np.int64)
+        v[j, 0] = 1
         phi = Mat(p, orbit_columns(group, current.action, v))
         rho = _retraction(current, free_one, phi)
         embeddings.append(incl_current @ phi)

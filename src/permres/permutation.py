@@ -2,12 +2,15 @@
 
 A descriptor is a multiset of subgroups, one per transitive summand; its
 realization is the explicit module on the coset bases, with generator
-e_i permuting cosets by translation.  ``recognize`` goes the other way:
-it certifies that every generator matrix is a permutation matrix in the
-given basis and reads off the orbit stabilizers.  Coset representatives
-are the vectors supported on the non-pivot coordinates of the
-subgroup's rref basis, in lexicographic order, so realizations are
-bit-reproducible.
+e_i permuting cosets by translation: each block is the
+``permutation_matrix`` of an index vector from ``Subgroup.translations``.
+``recognize`` goes the other way: it certifies that every generator
+matrix is a permutation matrix in the given basis, moves every basis
+point through E in one ``element_images`` walk (which follows
+``Group.steps``), and reads off the orbit stabilizers.  Coset
+representatives are the vectors supported on the non-pivot coordinates
+of the subgroup's rref basis, in lexicographic order, so realizations
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from . import config
 from .errors import GroupMismatch, InternalError, NotPermutationBasis
 from .groups import Group, Subgroup
-from .linalg import Mat, block_diag, first_non_permutation_row, permutation_vector
+from .linalg import block_diag, first_non_permutation_row, permutation_matrix, permutation_vector
 from .modules import Module
 
 
@@ -106,37 +109,19 @@ def direct_sum_tag(module: Module, tags) -> TaggedModule:
     return TaggedModule(module=module, parts=tuple(parts), basis_map=tuple(basis_map))
 
 
-def realize_part(group: Group, part: Subgroup):
-    """Permutation matrices of the coset action on E/H, plus the rep list."""
-    reps = part.coset_reps()
-    pos = {rep: i for i, rep in enumerate(reps)}
-    n = len(reps)
-    mats = []
-    for i in range(1, group.rank + 1):
-        e_i = group.generator(i)
-        a = np.zeros((n, n), dtype=np.int64)
-        for rep in reps:
-            shifted = part.reduce(tuple((x + y) % group.p for x, y in zip(rep, e_i)))
-            a[pos[shifted], pos[rep]] = 1
-        mats.append(Mat(group.p, a))
-    return mats, reps
-
-
 def realize(d: PermutationDescriptor) -> TaggedModule:
     """The explicit module on the concatenated coset bases of the parts."""
     group = d.group
     config.check_dim_cap(d.dim)
-    blocks = []
-    basis_map = []
-    for part_idx, part in enumerate(d.parts):
-        mats, reps = realize_part(group, part)
-        blocks.append(mats)
-        basis_map.extend((part_idx, rep) for rep in reps)
+    moves = [part.translations() for part in d.parts]
     action = tuple(
-        block_diag(group.p, [b[i] for b in blocks]) for i in range(group.rank)
+        block_diag(group.p, [permutation_matrix(group.p, t[i]) for t in moves])
+        for i in range(group.rank)
     )
-    module = Module(group, action)
-    return TaggedModule(module=module, parts=d.parts, basis_map=tuple(basis_map))
+    basis_map = tuple(
+        (part_idx, rep) for part_idx, part in enumerate(d.parts) for rep in part.coset_reps()
+    )
+    return TaggedModule(module=Module(group, action), parts=d.parts, basis_map=basis_map)
 
 
 def recognize(m: Module) -> TaggedModule:
@@ -145,6 +130,8 @@ def recognize(m: Module) -> TaggedModule:
     Raises NotPermutationBasis (with the offending generator and row) if
     some generator matrix is not a permutation matrix.  Parts are ordered
     by their smallest basis index; coset representatives are canonical.
+    One walk over E moves every basis point at once; each orbit is then
+    read off the column of its smallest point.
     """
     group = m.group
     perms = []
@@ -155,15 +142,15 @@ def recognize(m: Module) -> TaggedModule:
         perms.append(sigma)
     d = m.dim
     elements = group.elements()
-    visited = np.zeros(d, dtype=bool)
+    # images[idx(v), k]: where the group element v sends basis point k
+    images = element_images(group, perms, np.arange(d))
     parts = []
     basis_map = [None] * d
     for start in range(d):
-        if visited[start]:
+        if basis_map[start] is not None:
             continue
         part_idx = len(parts)
-        # where each group element sends the base point
-        translate = element_images(group, perms, start)
+        translate = images[:, start]
         stab_rows = [elements[t] for t in np.flatnonzero(translate == start)]
         stab = Subgroup(group, [list(v) for v in stab_rows])
         orbit = set(int(t) for t in translate)
@@ -175,22 +162,22 @@ def recognize(m: Module) -> TaggedModule:
             t = int(target)
             if basis_map[t] is None:
                 basis_map[t] = (part_idx, stab.reduce(elements[v_idx]))
-            visited[t] = True
         parts.append(stab)
     return TaggedModule(module=m, parts=tuple(parts), basis_map=tuple(basis_map))
 
 
-def element_images(group: Group, perms, start: int) -> np.ndarray:
-    """images[idx(v)] = sigma^v(start), for all v in lexicographic order."""
-    elements = group.elements()
-    images = np.zeros(group.order, dtype=np.int64)
+def element_images(group: Group, perms, start) -> np.ndarray:
+    """images[idx(v)] = sigma^v(start), for all v in lexicographic order.
+
+    ``start`` is a basis index or an array of them; for an array, row
+    idx(v) holds the images of every start, so column k is the walk of
+    start[k].
+    """
+    start = np.asarray(start, dtype=np.int64)
+    images = np.empty((group.order,) + start.shape, dtype=np.int64)
     images[0] = start
-    for idx in range(1, group.order):
-        x = elements[idx]
-        i = next(c for c, val in enumerate(x) if val)
-        y = list(x)
-        y[i] -= 1
-        images[idx] = perms[i][images[group.element_index(y)]]
+    for idx, (i, prev) in enumerate(group.steps(), start=1):
+        images[idx] = perms[i][images[prev]]
     return images
 
 

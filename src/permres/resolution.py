@@ -17,10 +17,14 @@ resolution of M by permutation modules that is free up to degree m:
 Build once, certify once: the construction never re-checks what it
 built (only the inputs of the public ``rotate`` and ``splice``), and
 ``certify_resolution`` recomputes every claim of the final result
-independently, exactly once.  Tags are recognized only where a term is made
-directly (the periodic and tensor complexes, the one-term free
-complexes, the trimmed degree 0); the tags of cones and direct sums are
-composed from those.  ``trim`` certifies its own output.
+independently, exactly once.  The periodic complexes take their tags
+from ``realize``, which made their terms; the terms of the tensor
+complexes, the one-term free complexes and the trimmed degree 0 are
+recognized, and the tags of cones and direct sums are composed from
+those.  ``trim`` certifies its own output.  Every free lift (the cover
+map in ``rotate``, the free degrees of the chain-map lift) solves for
+the images of the free generators and extends them with one batched
+``orbit_columns`` walk.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from .modules import (
     orbit_columns,
     projective_cover,
     ses_from_flag,
-    trivial_module,
     validate_module,
 )
 from .permutation import PermutationDescriptor, realize, recognize
@@ -101,8 +104,9 @@ def periodic_complex(group: Group, i: int, ell: int) -> Complex:
         raise ValueError(f"coordinate index {i} out of range 1..{group.rank}")
     p = group.p
     part = Subgroup.coordinate_hyperplane(group, i)
-    coset = realize(PermutationDescriptor(group, (part,))).module
-    k = trivial_module(group, 1)
+    coset_tag = realize(PermutationDescriptor(group, (part,)))
+    k_tag = realize(PermutationDescriptor(group, (Subgroup.full(group),)))
+    coset, k = coset_tag.module, k_tag.module
     g = coset.action[i - 1]
     eye = Mat.identity(p, p)
     gm1 = g - eye
@@ -119,7 +123,7 @@ def periodic_complex(group: Group, i: int, ell: int) -> Complex:
         diffs.append(ModuleMap(coset, coset, gm1 if j % 2 else norm))
     diffs.append(ModuleMap(k, coset, ones_col))
     aug = ModuleMap(coset, k, ones_row)
-    return tag_complex(Complex(tuple(terms), tuple(diffs), aug))
+    return Complex(tuple(terms), tuple(diffs), aug, (coset_tag,) * ell + (k_tag,))
 
 
 def _even_length(m: int) -> int:
@@ -167,22 +171,13 @@ def rotate(ses: ShortExactSequence) -> Rotation:
     incl, proj = ses.incl, ses.proj
     mod_l, mod_m, mod_n = incl.source, incl.target, proj.target
     group = mod_m.group
-    p = group.p
     cover = projective_cover(mod_n)
     # phi : P -> M covers pi_P through proj, built freely on the generators
-    if cover.free_rank:
-        gen_cols = [j * group.order for j in range(cover.free_rank)]
-        u = solve(proj.matrix, cover.map.matrix.take_cols(gen_cols))
-        if u is None:
-            raise InternalError("projection admits no preimage of a cover generator")
-        phi_mat = hstack(
-            [
-                Mat(p, orbit_columns(group, mod_m.action, u.a[:, j]))
-                for j in range(cover.free_rank)
-            ]
-        )
-    else:
-        phi_mat = Mat.zeros(p, mod_m.dim, 0)
+    gen_cols = range(0, cover.free.dim, group.order)
+    u = solve(proj.matrix, cover.map.matrix.take_cols(gen_cols))
+    if u is None:
+        raise InternalError("projection admits no preimage of a cover generator")
+    phi_mat = Mat(group.p, orbit_columns(group, mod_m.action, u.a))
     middle = block_sum(group, (mod_l, cover.free))
     psi = ModuleMap(middle, mod_m, hstack([incl.matrix, phi_mat]))
     omega_n, kappa = kernel(cover.map)

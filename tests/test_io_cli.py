@@ -228,6 +228,52 @@ class TestCli:
         assert self.run("trim", str(path), "--free-rank", "1", "--out", str(out_path)) == 0
         assert self.run("verify", str(out_path), "--m", "1") == 0
 
+    def test_trim_rejects_negative_free_rank(self, tmp_path, capsys):
+        res = good_resolution(random_module(2, 1, 2, seed=1), 1)
+        path = tmp_path / "res.json"
+        path.write_text(canonical_dumps(complex_to_obj(res.complex, m=1)))
+        out_path = tmp_path / "trimmed.json"
+        assert self.run("trim", str(path), "--free-rank", "-1", "--out", str(out_path)) == 2
+        assert "--free-rank" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "verb, field, value",
+        [
+            ("build", None, [1]),
+            ("omega", None, [1]),
+            ("tensor", None, [1]),
+            ("trim", None, [1]),
+            ("verify", None, [1]),
+            ("verify", "augmentation", 5),
+            ("verify", "terms", [3]),
+            ("verify", "meta", [1]),
+        ],
+    )
+    def test_non_object_bodies_exit_2(self, tmp_path, capsys, verb, field, value):
+        if field is None:
+            obj = value
+        else:
+            res = good_resolution(trivial_module(Group(2, 1), 1), 0)
+            obj = complex_to_obj(res.complex, m=0)
+            obj[field] = value
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        out_path = tmp_path / "out.json"
+        argv = {
+            "build": ["build", str(path), "--m", "0"],
+            "omega": ["omega", str(path)],
+            "tensor": ["tensor", str(path), str(path)],
+            "trim": ["trim", str(path), "--free-rank", "1"],
+            "verify": ["verify", str(path)],
+        }[verb]
+        if verb != "verify":
+            argv += ["--out", str(out_path)]
+        assert self.run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_cap_flag(self, tmp_path, capsys):
         import permres.config as config
 

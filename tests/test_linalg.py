@@ -10,6 +10,7 @@ from permres.linalg import (
     inverse,
     mat_pow,
     nullspace,
+    permutation_matrix,
     permutation_vector,
     rank,
     rref,
@@ -18,7 +19,7 @@ from permres.linalg import (
     vstack,
 )
 
-from helpers import ref_rank
+from helpers import ref_mat_pow, ref_rank
 
 PRIMES = [2, 3, 5]
 
@@ -151,6 +152,32 @@ class TestMatOps:
         assert mat_pow(m, 3).is_identity()
         assert (inverse(m) @ m).is_identity()
 
+    def test_mat_pow_matches_reference(self):
+        rng = np.random.default_rng(17)
+        for p in (2, 3, 5, 7):
+            for n in (1, 3, 4):
+                a = rng.integers(0, p, size=(n, n))
+                for e in range(10):
+                    assert mat_pow(Mat(p, a), e).a.tolist() == ref_mat_pow(a.tolist(), e, p)
+        with pytest.raises(ValueError):
+            mat_pow(Mat.identity(2, 2), -1)
+
+    def test_mat_pow_product_count(self, monkeypatch):
+        # one square per bit after the leading one, one product per further set bit
+        calls = []
+        matmul = Mat.__matmul__
+
+        def counted(a, b):
+            calls.append(1)
+            return matmul(a, b)
+
+        monkeypatch.setattr(Mat, "__matmul__", counted)
+        m = Mat(7, [[1, 1], [0, 1]])
+        for e, products in ((0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (7, 4), (8, 3)):
+            calls.clear()
+            mat_pow(m, e)
+            assert len(calls) == products, e
+
     def test_blocks(self):
         a = Mat.identity(2, 1)
         b = Mat(2, [[1, 1]])
@@ -168,3 +195,13 @@ class TestMatOps:
         m = Mat(2, [[0, 1], [1, 0]])
         assert permutation_vector(m).tolist() == [1, 0]
         assert permutation_vector(Mat(2, [[1, 1], [0, 1]])) is None
+
+    def test_permutation_matrix_inverts_permutation_vector(self):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 5):
+            sigma = rng.permutation(n)
+            m = permutation_matrix(3, sigma)
+            assert permutation_vector(m).tolist() == sigma.tolist()
+            assert permutation_matrix(3, permutation_vector(m)) == m
+            for x in range(n):
+                assert m.a[:, x].tolist() == [int(y == sigma[x]) for y in range(n)]

@@ -1,6 +1,9 @@
-import numpy as np
+import itertools
 
-from permres.groups import Group
+import numpy as np
+import pytest
+
+from permres.groups import Group, all_subgroups
 from permres.linalg import Mat, rank
 from permres.modules import (
     Module,
@@ -17,6 +20,7 @@ from permres.modules import (
     iso_probe,
     kernel,
     norm_matrix,
+    orbit_columns,
     omega,
     omega_iter,
     projective_cover,
@@ -30,13 +34,15 @@ from permres.modules import (
     validate_module,
     zero_map,
 )
+from permres.permutation import PermutationDescriptor, realize
 from permres.random_modules import random_module
 
-from helpers import ref_mat_pow, ref_rank
+from helpers import ref_mat_pow, ref_matmul, ref_rank
 
 C2 = Group(2, 1)
 C3 = Group(3, 1)
 V4 = Group(2, 2)  # (C_2)^2
+C3_2 = Group(3, 2)
 
 
 def random_corpus():
@@ -244,6 +250,41 @@ class TestCoversAndLoops:
             assert cover.map.is_surjective()
             assert cover.free.dim == cover.free_rank * m.group.order
             assert kernel(cover.map)[0].dim == cover.free.dim - m.dim
+
+
+def ref_orbit(mod, v):
+    """Columns prod_i A_i^(x_i) v for all x in E, in lexicographic order."""
+    p = mod.group.p
+    cols = []
+    for x in itertools.product(range(p), repeat=mod.group.rank):
+        w = [[int(c)] for c in v]
+        for a, e in zip(mod.action, x):
+            w = ref_matmul(ref_mat_pow(a.a.tolist(), e, p), w, p)
+        cols.append([row[0] for row in w])
+    return [list(row) for row in zip(*cols)]
+
+
+class TestOrbitColumns:
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: free_module(g, 1),
+            lambda g: realize(PermutationDescriptor(g, all_subgroups(g)[1:4])).module,
+            lambda g: random_module(g.p, g.rank, 4, seed=13),
+        ],
+        ids=["free", "coset", "random"],
+    )
+    def test_batched_orbits_match_reference(self, make, t):
+        for group in (V4, C3_2):
+            mod = make(group)
+            rng = np.random.default_rng(t)
+            vecs = rng.integers(0, group.p, size=(mod.dim, t))
+            got = orbit_columns(group, mod.action, vecs)
+            assert got.shape == (mod.dim, t * group.order)
+            for j in range(t):
+                block = got[:, j * group.order : (j + 1) * group.order]
+                assert block.tolist() == ref_orbit(mod, vecs[:, j])
 
 
 class TestFreeRankAndStrip:

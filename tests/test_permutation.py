@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from permres.complexes import ChainMap, cone
@@ -44,6 +45,29 @@ class TestSubgroups:
         h = Subgroup(V4, [[0, 1]])  # span{e_2}: free coordinate is 0
         assert h.coset_reps() == ((0, 0), (1, 0))
         assert h.reduce((1, 1)) == (1, 0)
+
+    def test_step_table(self):
+        for group in (Group(2, 1), V4, C2_3, C3_2, Group(5, 2)):
+            elements = group.elements()
+            assert len(group.steps()) == group.order - 1
+            for idx, (i, prev) in enumerate(group.steps(), start=1):
+                x = elements[idx]
+                assert not any(x[:i]) and x[i] != 0
+                moved = tuple((v + (c == i)) % group.p for c, v in enumerate(elements[prev]))
+                assert moved == x
+
+    def test_translations(self):
+        for group in (V4, C2_3, C3_2):
+            for sub in all_subgroups(group):
+                reps = sub.coset_reps()
+                moves = sub.translations()
+                assert len(moves) == group.rank
+                for i, sigma in enumerate(moves):
+                    assert sorted(sigma.tolist()) == list(range(len(reps)))
+                    e_i = group.generator(i + 1)
+                    for x, rep in enumerate(reps):
+                        diff = [a - b - c for a, b, c in zip(reps[sigma[x]], rep, e_i)]
+                        assert sub.contains(diff)
 
     def test_caps_and_group_mismatch(self):
         from permres.errors import CapExceeded, GroupMismatch
@@ -109,6 +133,25 @@ class TestRecognize:
                 assert image == pos[reps.index(part.reduce(v))]
             if part.is_trivial():
                 assert list(images) == pos
+
+    def test_element_images_of_many_starts(self):
+        lines = realize(desc(C3_2, *all_subgroups(C3_2)[1:3])).module
+        for mod in (
+            realize(desc(V4, *all_subgroups(V4))).module,
+            tensor(lines, lines),
+            free_module(C2_3, 1),
+        ):
+            group = mod.group
+            perms = [permutation_vector(a) for a in mod.action]
+            starts = np.arange(mod.dim)
+            batched = element_images(group, perms, starts)
+            assert batched.shape == (group.order, mod.dim)
+            for k in starts:
+                single = element_images(group, perms, int(k))
+                assert single.shape == (group.order,)
+                assert np.array_equal(batched[:, k], single)
+            picked = starts[::-2]
+            assert np.array_equal(element_images(group, perms, picked), batched[:, picked])
 
     def test_positions_of_recognized_tags(self):
         subs = all_subgroups(V4)
