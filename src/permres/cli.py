@@ -32,7 +32,6 @@ from .linalg import Mat
 from .modules import (
     Module,
     ModuleMap,
-    composition_series,
     free_rank,
     omega,
     radical_series,
@@ -156,7 +155,8 @@ def cmd_info(args) -> int:
             print(f"free_rank: {free_rank(mod)}")
             dims = [rows.rows for rows in radical_series(mod)]
             print("radical series dims: " + " ".join(str(d) for d in dims))
-            print(f"composition length: {len(composition_series(mod)) - 1}")
+            # every composition factor of a kE-module is k
+            print(f"composition length: {mod.dim}")
     elif kind == "descriptor":
         d = descriptor_from_obj(obj)
         print(f"descriptor file: p={d.group.p} rank={d.group.rank} dim={d.dim}")
@@ -215,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cap-dim", type=int, default=None, help="module dimension cap")
     parser.add_argument("--cap-order", type=int, default=None, help="group order cap")
-    parser.add_argument(
-        "--trials", type=int, default=None, help="sampling budget for isomorphism probes"
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     b = sub.add_parser("build", help="build a certified resolution of a module")
@@ -266,11 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved = config.dim_cap(), config.order_cap(), config.trials()
+    saved = config.dim_cap(), config.order_cap()
     try:
         config.set_caps(dim_cap=args.cap_dim, order_cap=args.cap_order)
-        if args.trials is not None:
-            config.set_trials(args.trials)
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -283,7 +278,6 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     finally:
         config.set_caps(dim_cap=saved[0], order_cap=saved[1])
-        config.set_trials(saved[2])
 
 
 if __name__ == "__main__":

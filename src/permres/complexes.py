@@ -9,8 +9,8 @@ direct sum of terms is one ``block_sum``.  ``cone`` and
 ``direct_sum_complexes`` compose the tags of their terms from the tags of
 their inputs (``direct_sum_tag``); ``tensor_complexes`` recognizes its
 terms, since a Mackey basis is not a concatenation.  ``truncate`` takes
-its input to be exact, and the free step of ``lift_chain_map`` does not
-multiply out its answer.  ``certify_resolution`` is the one place that
+its input to be exact, and ``lift_chain_map`` does not multiply out the
+equivariant solves it makes.  ``certify_resolution`` is the one place that
 recomputes d^2 = 0, all homology dimensions, tag recognition and
 freeness, trusting none of them.
 
@@ -28,21 +28,19 @@ import numpy as np
 
 from .errors import LiftFailed, NotResolution
 from .groups import Group
-from .linalg import Mat, block_diag, solve, vstack
+from .linalg import Mat, block_diag, solve
 from .modules import (
     Module,
     ModuleMap,
-    _intertwiner_system,
     block_sum,
     check_module_map,
     free_rank,
     kernel,
-    orbit_columns,
     tensor,
     trivial_module,
     validate_module,
 )
-from .permutation import TaggedModule, direct_sum_tag, recognize
+from .permutation import TaggedModule, direct_sum_tag, recognize, solve_equivariant
 
 
 @dataclass(frozen=True)
@@ -372,13 +370,16 @@ def truncate(c: Complex, steps: int = 1) -> Complex:
 def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     """Lift f through two resolutions: eps_P f_0 = f eps_Q and d f_j = f_(j-1) d.
 
-    Preconditions: q resolves f.source and is free up to ell, pc resolves
-    f.target with top degree <= ell.  Components are produced degree by
-    degree by the canonical constrained solve; degrees above pc vanish and
-    the final compatibility is asserted rather than solved.
+    Preconditions: q resolves f.source and is tagged, pc resolves f.target
+    with top degree <= ell, and a lift exists (projectivity guarantees one
+    when q is free up to the top degree of pc).  Each component is the
+    canonical ``solve_equivariant`` out of its tagged term; degrees above
+    pc vanish and the final compatibility is asserted rather than solved.
     """
     if q.aug is None or pc.aug is None:
         raise LiftFailed("both complexes must be augmented")
+    if q.tags is None:
+        raise LiftFailed("the source complex must be tagged")
     if q.aug.target != f.source or pc.aug.target != f.target:
         raise LiftFailed("augmentation targets do not match the map being lifted")
     if pc.top > ell:
@@ -386,12 +387,9 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     components: list[ModuleMap | None] = []
     prev = f.matrix
     for j in range(q.top + 1):
-        dq = q.boundary(j)
-        rhs = prev @ dq.matrix
+        rhs = prev @ q.boundary(j).matrix
         if j <= pc.top:
-            dp = pc.boundary(j)
-            tag = q.tags[j] if q.tags is not None else None
-            x = _solve_step(q.terms[j], pc.terms[j], dp.matrix, rhs, tag)
+            x = solve_equivariant(q.tags[j], pc.terms[j], pc.boundary(j).matrix, rhs)
             if x is None:
                 raise LiftFailed(f"no lift exists at degree {j}")
             components.append(ModuleMap(q.terms[j], pc.terms[j], x))
@@ -403,47 +401,6 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
             components.append(None)
             prev = Mat.zeros(q.group.p, 0, q.terms[j].dim)
     return ChainMap(q, pc, tuple(components), base=f)
-
-
-def _solve_step(src: Module, tgt: Module, d_mat: Mat, rhs: Mat, tag: TaggedModule | None):
-    """Canonical X with d X = rhs among module maps src -> tgt."""
-    if tag is not None and tag.descriptor.is_free():
-        return _solve_step_free(src, tgt, d_mat, rhs, tag)
-    return _solve_step_dense(src, tgt, d_mat, rhs)
-
-
-def _solve_step_free(src: Module, tgt: Module, d_mat: Mat, rhs: Mat, tag: TaggedModule):
-    """Free source: solve on the free generators, extend by the action.
-
-    Each part of the tag is a free orbit listed in element order from its
-    first position, the generator, so its columns are A^x u for the image u.
-    """
-    group = src.group
-    orbits = np.array(tag.positions(), dtype=np.intp).reshape(-1, group.order)
-    u = solve(d_mat, rhs.take_cols(orbits[:, 0]))
-    if u is None:
-        return None
-    x = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    x[:, orbits.reshape(-1)] = orbit_columns(group, tgt.action, u.a)
-    return Mat(group.p, x)
-
-
-def _solve_step_dense(src: Module, tgt: Module, d_mat: Mat, rhs: Mat):
-    """Joint linear system: X intertwines and d X = rhs (row-major vec)."""
-    p = src.group.p
-    ds, dt = src.dim, tgt.dim
-    if ds == 0 or dt == 0:
-        return Mat.zeros(p, dt, ds)
-    lhs = vstack(
-        [_intertwiner_system(src, tgt), Mat(p, np.kron(d_mat.a, np.eye(ds, dtype=np.int64)))]
-    )
-    target_vec = np.concatenate(
-        [np.zeros(ds * dt * src.group.rank, dtype=np.int64), rhs.a.reshape(-1)]
-    )
-    sol = solve(lhs, Mat(p, target_vec[:, None]))
-    if sol is None:
-        return None
-    return Mat(p, sol.a[:, 0].reshape(dt, ds))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,9 @@ from .errors import CapExceeded
 DEFAULT_DIM_CAP = 4096
 DEFAULT_ORDER_CAP = 3125
 DEFAULT_SEED = 0
-DEFAULT_TRIALS = 64
 
 _dim_cap = DEFAULT_DIM_CAP
 _order_cap = DEFAULT_ORDER_CAP
-_trials = DEFAULT_TRIALS
 
 
 def dim_cap():
@@ -25,17 +23,6 @@ def dim_cap():
 
 def order_cap():
     return _order_cap
-
-
-def trials():
-    return _trials
-
-
-def set_trials(n):
-    global _trials
-    if n <= 0:
-        raise ValueError("trial count must be positive")
-    _trials = n
 
 
 def set_caps(dim_cap=None, order_cap=None):
@@ -56,7 +43,8 @@ def check_dim_cap(dim):
     return dim
 
 
-def check_order_cap(order):
-    if order > _order_cap:
-        raise CapExceeded(f"group order {order} exceeds cap {_order_cap}")
-    return order
+def check_order_cap(p, rank):
+    """Refuse |E| = p^rank > cap; for p >= 2 a rank past the cap's bit length
+    is refused without forming p^rank."""
+    if rank > _order_cap.bit_length() or p**rank > _order_cap:
+        raise CapExceeded(f"group order {p}^{rank} exceeds cap {_order_cap}")

@@ -28,10 +28,13 @@ class Group:
     rank: int
 
     def __post_init__(self):
-        check_prime(self.p)
-        if self.rank < 1:
+        # cheap checks first: the order cap bounds p before check_prime trial-divides it
+        if not isinstance(self.p, (int, np.integer)) or self.p < 2:
+            raise ValueError(f"{self.p!r} is not a prime")
+        if not isinstance(self.rank, (int, np.integer)) or self.rank < 1:
             raise ValueError("group rank must be >= 1")
-        config.check_order_cap(self.p**self.rank)
+        config.check_order_cap(self.p, self.rank)
+        check_prime(self.p)
 
     @property
     def order(self) -> int:

@@ -323,30 +323,44 @@ def dual(m: Module) -> Module:
 
 
 def hom_space(m: Module, n: Module) -> list[Mat]:
-    """Canonical basis of the intertwiners {X : X A_i^M = A_i^N X}."""
+    """Canonical basis of the intertwiners {X : X A_i^M = A_i^N X}.
+
+    The equations act on the row-major vec of X (n.dim x m.dim):
+    vec(X A) = (I (x) A^T) vec X and vec(B X) = (B (x) I) vec X, one block
+    of rows per generator.
+    """
     if m.group != n.group:
         raise GroupMismatch("hom across different groups")
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
-    basis = nullspace(_intertwiner_system(m, n))
-    return [Mat(m.group.p, basis.a[:, j].reshape(dn, dm)) for j in range(basis.cols)]
-
-
-def _intertwiner_system(m: Module, n: Module) -> Mat:
-    """Equations X A_i^M = A_i^N X on the row-major vec of X (n.dim x m.dim).
-
-    vec(X A) = (I (x) A^T) vec X and vec(B X) = (B (x) I) vec X, one block
-    of rows per generator.
-    """
-    eye_m = np.eye(m.dim, dtype=np.int64)
-    eye_n = np.eye(n.dim, dtype=np.int64)
-    return vstack(
+    eye_m = np.eye(dm, dtype=np.int64)
+    eye_n = np.eye(dn, dtype=np.int64)
+    system = vstack(
         [
             Mat(m.group.p, np.kron(eye_n, a_m.a.T) - np.kron(a_n.a, eye_m))
             for a_m, a_n in zip(m.action, n.action)
         ]
     )
+    basis = nullspace(system)
+    return [Mat(m.group.p, basis.a[:, j].reshape(dn, dm)) for j in range(basis.cols)]
+
+
+def fixed_points(m: Module, h: Subgroup) -> Mat:
+    """Columns form the canonical basis of M^H = {v : A^x v = v for x in H}.
+
+    H is generated by its rref basis rows x, so M^H is the nullspace of
+    the stacked A^x - I (no rows, so all of M, for the trivial H).
+    """
+    p = m.group.p
+    eye = Mat.identity(p, m.dim)
+    moves = [Mat.zeros(p, 0, m.dim)]
+    for row in h.basis.a:
+        move = eye
+        for a, e in zip(m.action, row):
+            move = move @ mat_pow(a, int(e))
+        moves.append(move - eye)
+    return nullspace(vstack(moves))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +509,7 @@ def strip_free(m: Module) -> StripResult:
         v = np.zeros((current.dim, 1), dtype=np.int64)
         v[j, 0] = 1
         phi = Mat(p, orbit_columns(group, current.action, v))
-        rho = _retraction(current, free_one, phi)
+        rho = _retraction(current, phi)
         embeddings.append(incl_current @ phi)
         k, kappa = kernel(ModuleMap(current, free_one, rho))
         incl_current = incl_current @ kappa.matrix
@@ -508,21 +522,18 @@ def strip_free(m: Module) -> StripResult:
     return StripResult(module=current, stripped=t, iso=ModuleMap(source, m, iso_mat))
 
 
-def _retraction(current: Module, free_one: Module, phi: Mat) -> Mat:
-    """rho: current -> kE, a module map with rho o phi = identity."""
-    basis = hom_space(current, free_one)
-    if basis:
-        cols = hstack([Mat(current.group.p, (h @ phi).a.reshape(-1, 1)) for h in basis])
-        eye = Mat(current.group.p, np.eye(free_one.dim, dtype=np.int64).reshape(-1, 1))
-        coeffs = solve(cols, eye)
-    else:
-        coeffs = None
-    if coeffs is None:
+def _retraction(current: Module, phi: Mat) -> Mat:
+    """rho: current -> kE, a module map with rho o phi = identity.
+
+    A map into kE sends v to sum_g lam(A^(-g) v) e_g for one functional
+    lam, and it retracts the free orbit phi exactly when lam phi = e_0.
+    Its rows lam A^(-g) are one orbit walk of the dual action.
+    """
+    group = current.group
+    lam = solve(phi.T, Mat.identity(group.p, group.order).col(0))
+    if lam is None:
         raise InternalError("no retraction onto a free cyclic submodule")
-    acc = Mat.zeros(current.group.p, free_one.dim, current.dim)
-    for c, h in zip(coeffs.a[:, 0], basis):
-        acc = acc + h.scale(int(c))
-    return acc
+    return Mat(group.p, orbit_columns(group, dual(current).action, lam.a).T)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +549,7 @@ class IsoProbe:
 def iso_probe(
     m: Module,
     n: Module,
-    trials: int | None = None,
+    trials: int = 64,
     seed: int = config.DEFAULT_SEED,
 ) -> IsoProbe:
     """Search the hom space for an invertible intertwiner.
@@ -546,8 +557,6 @@ def iso_probe(
     Exhaustive (hence a proof either way) when the hom space has at most
     16 elements; otherwise seeded random sampling, allowed to give up.
     """
-    if trials is None:
-        trials = config.trials()
     if m.group != n.group:
         raise GroupMismatch("iso probe across different groups")
     if m.dim != n.dim:

@@ -22,8 +22,15 @@ import numpy as np
 from . import config
 from .errors import GroupMismatch, InternalError, NotPermutationBasis
 from .groups import Group, Subgroup
-from .linalg import block_diag, first_non_permutation_row, permutation_matrix, permutation_vector
-from .modules import Module
+from .linalg import (
+    Mat,
+    block_diag,
+    first_non_permutation_row,
+    permutation_matrix,
+    permutation_vector,
+    solve,
+)
+from .modules import Module, fixed_points, orbit_columns
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,7 @@ def recognize(m: Module) -> TaggedModule:
             raise NotPermutationBasis(i, first_non_permutation_row(a))
         perms.append(sigma)
     d = m.dim
-    elements = group.elements()
+    elements = np.array(group.elements(), dtype=np.int64).reshape(group.order, group.rank)
     # images[idx(v), k]: where the group element v sends basis point k
     images = element_images(group, perms, np.arange(d))
     parts = []
@@ -151,17 +158,18 @@ def recognize(m: Module) -> TaggedModule:
             continue
         part_idx = len(parts)
         translate = images[:, start]
-        stab_rows = [elements[t] for t in np.flatnonzero(translate == start)]
-        stab = Subgroup(group, [list(v) for v in stab_rows])
-        orbit = set(int(t) for t in translate)
-        if len(orbit) != stab.index:
+        stab = Subgroup(group, elements[translate == start])
+        # each orbit point, with the first element reaching it
+        orbit, first = np.unique(translate, return_index=True)
+        if orbit.size != stab.index:
             raise InternalError(
-                f"orbit of index {start} has size {len(orbit)}, expected {stab.index}"
+                f"orbit of index {start} has size {orbit.size}, expected {stab.index}"
             )
-        for v_idx, target in enumerate(translate):
-            t = int(target)
-            if basis_map[t] is None:
-                basis_map[t] = (part_idx, stab.reduce(elements[v_idx]))
+        # Subgroup.reduce on all of them at once: clear the pivots with the rref rows
+        moves = elements[first]
+        reps = (moves - moves[:, list(stab.pivots())] @ stab.basis.a) % group.p
+        for t, rep in zip(orbit.tolist(), reps.tolist()):
+            basis_map[t] = (part_idx, tuple(rep))
         parts.append(stab)
     return TaggedModule(module=m, parts=tuple(parts), basis_map=tuple(basis_map))
 
@@ -179,6 +187,44 @@ def element_images(group: Group, perms, start) -> np.ndarray:
     for idx, (i, prev) in enumerate(group.steps(), start=1):
         images[idx] = perms[i][images[prev]]
     return images
+
+
+def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):
+    """The canonical module map X : tag.module -> target with d X = rhs.
+
+    ``rhs`` must itself be a module map out of the tagged module.  A map
+    out of k(E/H) is fixed by the image x of the coset H, and x only has
+    to be H-fixed (Frobenius reciprocity), so x = F y for F the basis of
+    target^H and d F y = rhs at the coset H.  One ``solve`` serves all the
+    parts over the same H; a trivial H has F = I and solves d itself.  One
+    ``orbit_columns`` walk then sends the basis vector of each coset
+    rep + H to A^rep x.  Returns None when no such X exists.
+    """
+    group = target.group
+    p, order = group.p, group.order
+    parts = np.array([part for part, _ in tag.basis_map], dtype=np.intp)
+    reps = np.array([rep for _, rep in tag.basis_map], dtype=np.intp).reshape(-1, group.rank)
+    # the lexicographic index of each coset rep among the elements of E
+    idx = reps @ (p ** np.arange(group.rank - 1, -1, -1))
+    # the position of each part's coset H itself (rep 0)
+    base = np.empty(len(tag.parts), dtype=np.intp)
+    base[parts[idx == 0]] = np.flatnonzero(idx == 0)
+    x = np.zeros((target.dim, len(tag.parts)), dtype=np.int64)
+    by_subgroup = {}
+    for j, h in enumerate(tag.parts):
+        by_subgroup.setdefault(h, []).append(j)
+    for h, js in by_subgroup.items():
+        b = rhs.take_cols(base[js])
+        if h.is_trivial():
+            y = solve(d, b)
+        else:
+            f = fixed_points(target, h)
+            y = solve(d @ f, b)
+            y = None if y is None else f @ y
+        if y is None:
+            return None
+        x[:, js] = y.a
+    return Mat(p, orbit_columns(group, target.action, x)[:, parts * order + idx])
 
 
 def mackey_tensor(h: Subgroup, k: Subgroup) -> PermutationDescriptor:

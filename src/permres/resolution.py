@@ -21,10 +21,11 @@ independently, exactly once.  The periodic complexes take their tags
 from ``realize``, which made their terms; the terms of the tensor
 complexes, the one-term free complexes and the trimmed degree 0 are
 recognized, and the tags of cones and direct sums are composed from
-those.  ``trim`` certifies its own output.  Every free lift (the cover
-map in ``rotate``, the free degrees of the chain-map lift) solves for
-the images of the free generators and extends them with one batched
-``orbit_columns`` walk.
+those.  ``trim`` certifies its own output.  Every lift out of a
+permutation module (the cover map in ``rotate``, each degree of the
+chain-map lift) is one ``solve_equivariant``: it solves for the image of
+each coset H among the H-fixed points of the target and extends them with
+one batched ``orbit_columns`` walk.
 """
 
 from __future__ import annotations
@@ -61,12 +62,11 @@ from .modules import (
     free_rank,
     identity_map,
     kernel,
-    orbit_columns,
     projective_cover,
     ses_from_flag,
     validate_module,
 )
-from .permutation import PermutationDescriptor, realize, recognize
+from .permutation import PermutationDescriptor, realize, recognize, solve_equivariant
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,11 @@ def rotate(ses: ShortExactSequence) -> Rotation:
     mod_l, mod_m, mod_n = incl.source, incl.target, proj.target
     group = mod_m.group
     cover = projective_cover(mod_n)
-    # phi : P -> M covers pi_P through proj, built freely on the generators
-    gen_cols = range(0, cover.free.dim, group.order)
-    u = solve(proj.matrix, cover.map.matrix.take_cols(gen_cols))
-    if u is None:
+    # phi : P -> M covers pi_P through proj; P is t free parts, tagged by realize
+    free_tag = realize(PermutationDescriptor(group, (Subgroup.trivial(group),) * cover.free_rank))
+    phi_mat = solve_equivariant(free_tag, mod_m, proj.matrix, cover.map.matrix)
+    if phi_mat is None:
         raise InternalError("projection admits no preimage of a cover generator")
-    phi_mat = Mat(group.p, orbit_columns(group, mod_m.action, u.a))
     middle = block_sum(group, (mod_l, cover.free))
     psi = ModuleMap(middle, mod_m, hstack([incl.matrix, phi_mat]))
     omega_n, kappa = kernel(cover.map)
@@ -196,10 +195,11 @@ def splice(res_l: Complex, res_m: Complex, f: ModuleMap, quot: ModuleMap) -> Com
     """Resolve coker(f) = N from resolutions of L and M.
 
     ``f : L -> M`` must be injective with ``quot : M -> N`` its cokernel
-    (together they are short exact).  ``res_l`` must be free up to the
-    top degree of ``res_m``; the chain-map lift exists by projectivity
-    and the mapping cone, re-augmented through ``quot``, is exact.  The
-    output is not certified here: pass it to ``certify_resolution``.
+    (together they are short exact).  ``res_l`` must be tagged and a
+    chain-map lift must exist (projectivity guarantees one when ``res_l``
+    is free up to the top degree of ``res_m``); the mapping cone,
+    re-augmented through ``quot``, is then exact.  The output is not
+    certified here: pass it to ``certify_resolution``.
     """
     if res_l.aug is None or res_m.aug is None:
         raise ValueError("both inputs must be augmented")

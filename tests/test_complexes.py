@@ -19,12 +19,13 @@ from permres.complexes import (
     tensor_complexes,
     truncate,
 )
-from permres.errors import NotPermutationBasis, NotResolution
+from permres.errors import LiftFailed, NotPermutationBasis, NotResolution
 from permres.groups import Group
 from permres.linalg import Mat, inverse
 from permres.modules import (
     Module,
     ModuleMap,
+    check_module_map,
     direct_sum,
     free_module,
     identity_map,
@@ -229,6 +230,23 @@ class TestLift:
         assert check_chain_map(lift) is None
         # degree 0 must still cover the augmentation identity
         assert (c.aug.matrix @ lift.components[0].matrix) == c.aug.matrix
+
+    @pytest.mark.parametrize("p, r", [(2, 3), (3, 2)])
+    def test_identity_lift_through_non_free_parts(self, p, r):
+        c = trivial_resolution(Group(p, r), 0).complex
+        # parts of every codimension, the trivial module k included
+        dims = {part.dim for tag in c.tags for part in tag.parts}
+        assert dims == set(range(r + 1))
+        lift = lift_chain_map(identity_map(c.aug.target), c, c, ell=c.top)
+        assert check_chain_map(lift) is None
+        for comp in lift.components:
+            assert check_module_map(comp) is None
+
+    def test_untagged_source_is_refused(self):
+        c = periodic_piece_c2()
+        k = trivial_module(C2, 1)
+        with pytest.raises(LiftFailed, match="tagged"):
+            lift_chain_map(identity_map(k), c, tag_complex(c), ell=c.top)
 
     def test_lift_across_shorter_target(self):
         q = tag_complex(periodic_piece_c2())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from permres.modules import free_module, trivial_module
 from permres.permutation import PermutationDescriptor
 from permres.random_modules import random_module
 from permres.resolution import good_resolution
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRoundTrips:
@@ -286,12 +292,31 @@ class TestCli:
         assert config.dim_cap() == config.DEFAULT_DIM_CAP
         assert config.order_cap() == config.DEFAULT_ORDER_CAP
         code = self.run(
-            "--trials", "5", "--cap-order", "9", "random", "--p", "2", "--r", "1",
+            "--cap-order", "9", "random", "--p", "2", "--r", "1",
             "--dim", "2", "--out", str(tmp_path / "m.json"),
         )
         assert code == 0
-        assert config.trials() == config.DEFAULT_TRIALS
         assert config.order_cap() == config.DEFAULT_ORDER_CAP
+
+    @pytest.mark.parametrize("p, rank", [(2**61 - 1, 1), (3, 10**8)], ids=["prime", "rank"])
+    def test_huge_group_hits_the_order_cap_fast(self, tmp_path, p, rank):
+        # 2^61 - 1 is prime, and 3^(10^8) has 10^8 digits in base 3: the order
+        # cap must refuse both before primality is tested or p^rank is formed
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"p": p, "rank": rank, "dim": 0, "generators": [[]]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "permres.cli", "info", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 3
+        assert "exceeds cap" in done.stderr and "Traceback" not in done.stderr
 
     def test_every_written_file_reverifies(self, tmp_path):
         mod_path = tmp_path / "m.json"

@@ -13,6 +13,7 @@ from permres.modules import (
     composition_series,
     direct_sum,
     dual,
+    fixed_points,
     free_module,
     free_rank,
     hom_space,
@@ -285,6 +286,36 @@ class TestOrbitColumns:
             for j in range(t):
                 block = got[:, j * group.order : (j + 1) * group.order]
                 assert block.tolist() == ref_orbit(mod, vecs[:, j])
+
+
+def ref_span(rows, p):
+    """Every F_p-combination of the rows, as a set of tuples."""
+    width = len(rows[0]) if rows else 0
+    return {
+        tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % p for i in range(width))
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    }
+
+
+class TestFixedPoints:
+    @pytest.mark.parametrize("group", [V4, C3_2, Group(2, 3)], ids=["2-2", "3-2", "2-3"])
+    def test_coset_module_fixed_points(self, group):
+        p = group.p
+        subs = all_subgroups(group)
+        for k in subs:
+            mod = realize(PermutationDescriptor(group, (k,))).module
+            for h in subs:
+                f = fixed_points(mod, h)
+                # k(E/K)^H has one basis vector per H-orbit on E/K: [E : H+K] of them
+                rows = h.basis.a.tolist() + k.basis.a.tolist()
+                sum_size = len(ref_span(rows, p))
+                assert f.shape == (mod.dim, group.order // sum_size)
+                assert rank(f) == f.cols
+                for x in h.basis.a:
+                    move = np.eye(mod.dim, dtype=np.int64).tolist()
+                    for a, e in zip(mod.action, x):
+                        move = ref_matmul(move, ref_mat_pow(a.a.tolist(), int(e), p), p)
+                    assert ref_matmul(move, f.a.tolist(), p) == f.a.tolist()
 
 
 class TestFreeRankAndStrip:
