@@ -1,6 +1,6 @@
 """Runtime limits and seeded-randomness defaults.
 
-Resolution sizes grow exponentially in the input dimension, so every
+Resolution sizes grow with the input dimension, so every
 module constructor checks the dimension cap and every group constructor
 checks the order cap; both fail fast with CapExceeded.  The caps are
 process-wide and mutable; the CLI sets them from flags for one call and

@@ -6,6 +6,8 @@ float64 so that BLAS does the work; this is exact as long as
 (p-1)^2 * inner_dim stays below 2^53, which holds for every p the default
 order cap admits.  Beyond that bound (a large p under a raised cap) the
 product is taken over Python integers and reduced mod p, exact but slow.
+Every p is a prime below 2^31 (``check_prime``), so the int64 products
+of two residues that elimination forms never overflow.
 
 Conventions (all deterministic, so downstream outputs are golden-testable):
 
@@ -23,10 +25,11 @@ import numpy as np
 from .errors import DimensionMismatch, InternalError
 
 _FLOAT_EXACT_BOUND = 2**53
+_PRIME_BOUND = 2**31
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; n is tiny here (p^r is capped)."""
+    """Primality by trial division, at most sqrt(n) steps."""
     if n < 2:
         return False
     d = 2
@@ -38,24 +41,24 @@ def is_prime(n: int) -> bool:
 
 
 _prime_cache: set[int] = set()
-_inv_tables: dict[int, np.ndarray] = {}
 
 
 def check_prime(p: int) -> int:
+    """p itself, if it is a prime below 2^31; otherwise ValueError.
+
+    The bound keeps elimination exact in int64, where a row update forms
+    products of two residues, and it keeps the trial division to at most
+    46,341 steps.
+    """
     if p not in _prime_cache:
-        if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
+        if not isinstance(p, (int, np.integer)):
+            raise ValueError(f"{p!r} is not a prime")
+        if p >= _PRIME_BOUND:
+            raise ValueError(f"p = {p} is not below 2^31, the largest field size supported")
+        if not is_prime(int(p)):
             raise ValueError(f"{p!r} is not a prime")
         _prime_cache.add(int(p))
     return int(p)
-
-
-def _inverse_table(p: int) -> np.ndarray:
-    """inv[x] = x^-1 mod p for x in 1..p-1 (index 0 unused)."""
-    table = _inv_tables.get(p)
-    if table is None:
-        table = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
-        _inv_tables[p] = table
-    return table
 
 
 class Mat:
@@ -237,7 +240,6 @@ def _echelon(a: np.ndarray, p: int, reduced: bool):
     """Gaussian elimination; returns (echelon form, pivot column list)."""
     a = np.array(a, dtype=np.int64)
     rows, cols = a.shape
-    inv = _inverse_table(p)
     pivots = []
     r = 0
     for c in range(cols):
@@ -251,7 +253,7 @@ def _echelon(a: np.ndarray, p: int, reduced: bool):
             a[[r, i], c:] = a[[i, r], c:]
         v = int(a[r, c])
         if v != 1:
-            a[r, c:] = a[r, c:] * int(inv[v]) % p
+            a[r, c:] = a[r, c:] * pow(v, -1, p) % p
         if reduced:
             col = a[:, c].copy()
             col[r] = 0

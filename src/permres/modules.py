@@ -462,16 +462,16 @@ def omega_iter(m: Module, n: int) -> Module:
 
 
 def norm_matrix(m: Module) -> Mat:
-    """The norm element sum_{g in E} g acting on M, as one matrix product."""
+    """The norm element sum_{g in E} g acting on M.
+
+    Over F_p, 1 + x + ... + x^(p-1) = (x - 1)^(p-1), so the norm is the
+    product over the generators of (A_i - I)^(p-1): O(r log p) products.
+    """
     p = m.group.p
-    result = Mat.identity(p, m.dim)
+    eye = Mat.identity(p, m.dim)
+    result = eye
     for a in m.action:
-        acc = Mat.identity(p, m.dim)
-        power = Mat.identity(p, m.dim)
-        for _ in range(p - 1):
-            power = power @ a
-            acc = acc + power
-        result = result @ acc
+        result = result @ mat_pow(a - eye, p - 1)
     return result
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,34 @@ class TestCli:
         )
         assert done.returncode == 3
         assert "exceeds cap" in done.stderr and "Traceback" not in done.stderr
+
+    def test_prime_past_2_31_is_refused_under_a_raised_cap(self, tmp_path):
+        # 2^61 - 1 is prime and passes a raised order cap; the field bound
+        # refuses it before any trial division
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"p": 2**61 - 1, "rank": 1, "dim": 0, "generators": [[]]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "permres.cli", "--cap-order", str(10**19), "info", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 2
+        assert "2^31" in done.stderr and "Traceback" not in done.stderr
+
+    def test_info_over_a_large_prime_is_fast(self, tmp_path, capsys):
+        # the norm and the pivot inverses cost O(log p), not O(p)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"p": 1000003, "rank": 1, "dim": 1, "generators": [[1]]}))
+        t0 = time.perf_counter()
+        assert self.run("--cap-order", "10000000", "info", str(path)) == 0
+        assert time.perf_counter() - t0 < 5
+        assert "free_rank: 0" in capsys.readouterr().out
 
     def test_every_written_file_reverifies(self, tmp_path):
         mod_path = tmp_path / "m.json"

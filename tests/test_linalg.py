@@ -6,6 +6,7 @@ from permres.errors import DimensionMismatch
 from permres.linalg import (
     Mat,
     block_diag,
+    check_prime,
     hstack,
     inverse,
     mat_pow,
@@ -19,7 +20,7 @@ from permres.linalg import (
     vstack,
 )
 
-from helpers import ref_mat_pow, ref_rank
+from helpers import ref_mat_pow, ref_rank, ref_reduce
 
 PRIMES = [2, 3, 5]
 
@@ -146,6 +147,27 @@ class TestMatOps:
             b = random_mat(rng, p, 5, 3)
             expected = (a.a.astype(object) @ b.a.astype(object) % p).astype(np.int64)
             assert np.array_equal((a @ b).a, expected)
+
+    def test_primes_from_2_31_are_refused(self):
+        assert check_prime(2147483647) == 2147483647
+        # both are prime; int64 elimination would overflow for them
+        for p in (4294967311, 2**61 - 1):
+            with pytest.raises(ValueError, match="2\\^31"):
+                check_prime(p)
+            with pytest.raises(ValueError):
+                Mat(p, [[1]])
+
+    def test_rref_exact_at_the_largest_prime(self):
+        p = 2147483647
+        rng = np.random.default_rng(5)
+        for k in range(50):
+            m = random_mat(rng, p, 3, 5)
+            if k % 2:
+                m = random_mat(rng, p, 3, 2) @ random_mat(rng, p, 2, 5)
+            want, want_rank = ref_reduce(m.a.tolist(), p)
+            got, got_rank, _ = rref(m)
+            assert got_rank == want_rank
+            assert got.a.tolist() == want
 
     def test_pow_and_inverse(self):
         m = Mat(3, [[1, 1], [0, 1]])

@@ -395,6 +395,21 @@ class TestInvariants:
         # the norm of kC_p is the all-ones matrix
         assert norm_matrix(f) == Mat(3, np.ones((3, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_norm_matrix_is_the_element_sum(self, p):
+        # sum over x in E of A_1^x_1 ... A_r^x_r, from the reference routines
+        r = 2 if p <= 3 else 1
+        for seed in range(3):
+            m = random_module(p, r, 4, seed)
+            gens = [a.a.tolist() for a in m.action]
+            total = [[0] * m.dim for _ in range(m.dim)]
+            for x in itertools.product(range(p), repeat=r):
+                term = ref_mat_pow(gens[0], x[0], p)
+                for g, e in zip(gens[1:], x[1:]):
+                    term = ref_matmul(term, ref_mat_pow(g, e, p), p)
+                total = [[(u + v) % p for u, v in zip(a, b)] for a, b in zip(total, term)]
+            assert norm_matrix(m).a.tolist() == total
+
 
 class TestRandomModules:
     def test_exact_dims_and_determinism(self):

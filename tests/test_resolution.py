@@ -14,12 +14,14 @@ from permres.complexes import (
     tensor_complexes,
     truncate,
 )
-from permres.errors import OddLength, SelectionFailed
+from permres import resolution
+from permres.errors import LiftFailed, OddLength, SelectionFailed
 from permres.groups import Group
 from permres.io import canonical_dumps, complex_to_obj
 from permres.linalg import Mat
 from permres.modules import (
     ModuleMap,
+    block_sum,
     composition_series,
     direct_sum,
     free_module,
@@ -42,7 +44,8 @@ from permres.resolution import (
 )
 from permres.random_modules import random_module
 
-from helpers import ref_rank
+from helpers import ref_loewy_length, ref_rank
+from test_acceptance import END_TO_END_CORPUS
 
 C2 = Group(2, 1)
 C3 = Group(3, 1)
@@ -247,9 +250,9 @@ class TestGoodResolution:
     def test_output_bytes_are_pinned(self):
         # sha256 of the canonical output file; a construction change shows here
         golden = {
-            (2, 1, 3, 1, 603): "668a54ad9cbafb45ebd0ce1d1f05058766af976b4eac141af23ee914b153326e",
-            (3, 2, 2, 1, 632): "b128cb35c2771b5fbdc198d2313145aa36324706bbcbfc6213cf85aef3b77f7a",
-            (2, 3, 2, 0, 7): "bdd80df8701b62669147b550ba6613767c9d8cca3ea79a397936f3ef5404f58d",
+            (2, 1, 3, 1, 603): "75b9d0a0ba986b02a6df52347c69698a36a78952e185aa9ffe381ec6bdd22ea4",
+            (3, 2, 2, 1, 632): "7156f266b33ec5cdb6ccad6ed3c2bfcdd83c403c258cbf557503d8cefaf6bc29",
+            (2, 3, 2, 0, 7): "4ccff146805e7c8c036580fc9e11d73396ec831344bc590d6fb3424727fb0ad6",
         }
         for (p, r, dim, m, seed), digest in golden.items():
             res = good_resolution(random_module(p, r, dim, seed), m)
@@ -265,6 +268,83 @@ class TestGoodResolution:
             k_j = syzygy(res.complex, j)
             w_j = omega_iter(mod, j)
             assert k_j.dim - mod.group.order * free_rank(k_j) == w_j.dim
+
+    @staticmethod
+    def rule_length(mod, m):
+        # r (even(m) + 2 (L - 1)): even(m) the smallest even integer >= m + 1,
+        # L the Loewy length from the reference routines
+        even = m + 1 + (m + 1) % 2
+        loewy = ref_loewy_length([a.a.tolist() for a in mod.action], mod.group.p)
+        return mod.group.rank * (even + 2 * (loewy - 1))
+
+    def test_length_rule_on_the_end_to_end_corpus(self):
+        checked = 0
+        for p, r, dim, m, seed in END_TO_END_CORPUS:
+            mod = random_module(p, r, dim, seed)
+            if free_rank(mod):
+                continue
+            res = good_resolution(mod, m)
+            assert res.complex.top == self.rule_length(mod, m), (p, r, dim, m, seed)
+            checked += 1
+        assert checked >= 10
+
+    def test_non_free_module_plus_free_summands(self):
+        mod = random_module(2, 2, 3, seed=5)
+        assert free_rank(mod) == 0
+        mixed = block_sum(V4, (mod, free_module(V4, 2)))
+        m = 2
+        res = good_resolution(mixed, m)
+        assert res.report.ok
+        assert res.complex.aug.target == mixed
+        assert res.complex.top == self.rule_length(mod, m)
+        assert euler_characteristic(res.complex) == mixed.dim
+        for j in range(1, m + 1):
+            k_j = syzygy(res.complex, j)
+            w_j = omega_iter(mixed, j)
+            assert k_j.dim - V4.order * free_rank(k_j) == w_j.dim
+
+    def test_failed_lift_retries_with_a_longer_resolution(self, monkeypatch):
+        mod = random_module(3, 2, 3, seed=633)
+        m = 1
+        real = resolution.splice
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(resolution, "splice", counted)
+        plain = good_resolution(mod, m)
+        plain_calls = len(calls)
+        assert plain_calls >= 1
+        calls.clear()
+
+        def fails_once(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise LiftFailed("forced failure")
+            return real(*args)
+
+        monkeypatch.setattr(resolution, "splice", fails_once)
+        res = good_resolution(mod, m)
+        assert res.report.ok
+        assert res.complex.aug.target == mod
+        assert res.complex.top == plain.complex.top + 2 * mod.group.rank
+        assert len(calls) == plain_calls + 1
+
+    def test_fallback_stops_at_the_projective_bound(self, monkeypatch):
+        calls = []
+
+        def always_fails(*args):
+            calls.append(1)
+            raise LiftFailed("forced failure")
+
+        monkeypatch.setattr(resolution, "splice", always_fails)
+        with pytest.raises(LiftFailed):
+            good_resolution(random_module(3, 2, 3, seed=633), 1)
+        # the first layer has ell = 4: periodic lengths 4 (m' = ell / r) and
+        # 6 (m' = max(m, ell) + 1, where a lift always exists), then no more
+        assert len(calls) == 2
 
 
 class TestTrim:
