@@ -2,11 +2,11 @@
 # End to end: take a random module M over (C_3)^2, build a finite
 # permutation resolution that is free up to degree m, and inspect the
 # certificate.  The construction splits off the free summands of M, then
-# walks its radical series from the bottom: each layer k^t is rotated
-# through its projective cover, and t copies of a fresh resolution of the
-# Heller loop Ωk are spliced in via a mapping cone.  Each layer adds 2r to
+# walks a composition series from the bottom: each step with quotient k is
+# rotated through its projective cover kE, and a fresh resolution of the
+# Heller loop Ωk is spliced in via a mapping cone.  Each step adds 2r to
 # the length: without free summands, the length is
-# r (even(m) + 2 (Loewy length - 1)), even(m) the least even number > m.
+# r (even(m) + 2 (dim M - 1)), even(m) the least even number > m.
 
 from permres.complexes import euler_characteristic, free_up_to, syzygy
 from permres.modules import free_rank, omega_iter

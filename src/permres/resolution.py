@@ -10,10 +10,11 @@ resolution of M by permutation modules that is free up to degree m:
   via the projective cover P of N;
 * ``splice`` -- lifts a map between resolved modules and takes the
   mapping cone, resolving the cokernel;
-* ``good_resolution`` -- strips the free summands, then walks the radical
-  series from the bottom, splicing once per radical layer k^t with t
-  copies of the truncated tensor resolution of k, each free only as far
-  as the lift needs, so each layer adds 2r to the length;
+* ``good_resolution`` -- strips the free summands, then walks a
+  composition series from the bottom, splicing once per step with the
+  truncated tensor resolution of k, free only as far as the lift needs,
+  so each step adds 2r to the length and the term dims depend only on
+  (p, r, dim M, m) and the free rank of M;
 * ``trim`` -- removes a free direct summand of the target from degree 0.
 
 Build once, certify once: the construction never re-checks what it
@@ -60,15 +61,14 @@ from .modules import (
     block_sum,
     check_module_map,
     check_ses,
+    composition_series,
     free_module,
     free_rank,
     identity_map,
     kernel,
     projective_cover,
-    radical_series,
     ses_from_flag,
     strip_free,
-    submodule,
     validate_module,
 )
 from .permutation import PermutationDescriptor, realize, recognize, solve_equivariant
@@ -228,29 +228,21 @@ def _free_term(free: Module) -> Complex:
     return tag_complex(single_term_complex(free, identity_map(free)))
 
 
-def _copies(c: Complex, t: int) -> Complex:
-    """The direct sum of t >= 1 copies of c."""
-    out = c
-    for _ in range(t - 1):
-        out = direct_sum_complexes(out, c)
-    return out
+def _splice_step(res_m: Complex, rot: Rotation, m: int) -> Complex:
+    """Resolve the middle of a rotated flag step from res_m, which resolves its end.
 
-
-def _splice_layer(res_m: Complex, rot: Rotation, m: int) -> Complex:
-    """Resolve the middle of a rotated layer from res_m, which resolves its end.
-
-    t copies of the tensor resolution of k, truncated once, resolve the
-    rotation's kernel Ω(k^t) = (Ωk)^t.  Made free up to m' = max(m, ell / r),
-    ell the length of res_m, they give the output length ell + 2r.  Where
-    the lift fails, m' grows by 2 until the truncated resolution is free up
-    to max(m, ell) + 1, where projectivity guarantees a lift.
+    The tensor resolution of k, truncated once, resolves the rotation's
+    kernel Ωk.  Made free up to m' = max(m, ell / r), ell the length of
+    res_m, it gives the output length ell + 2r.  Where the lift fails, m'
+    grows by 2 until the truncated resolution is free up to
+    max(m, ell) + 1, where projectivity guarantees a lift.
     """
     group = res_m.group
     ell = res_m.top
     bound = _even_length(max(m, ell) + 1)
     m_omega = max(m, ell // group.rank)
     while True:
-        res_omega = _copies(truncate(_trivial_complex(group, m_omega)), rot.cover.free_rank)
+        res_omega = truncate(_trivial_complex(group, m_omega))
         if res_omega.aug.target != rot.ses.incl.source:
             raise InternalError("truncated resolution target differs from ΩN")
         try:
@@ -265,14 +257,16 @@ def good_resolution(module: Module, m: int) -> GoodResolution:
     """A certified permutation resolution of M, free up to degree m.
 
     Free modules resolve themselves.  Otherwise split M = M' (+) (kE)^s
-    with ``strip_free`` and walk the radical series M' = R^0 > ... >
-    R^(L-1) > 0 from the bottom: R^(L-1) = k^t is resolved by t copies of
-    the tensor resolution of k.  Each layer 0 -> R^(i+1) -> R^i -> k^t -> 0
-    is rotated through the cover (kE)^t of its top and spliced by
-    ``_splice_layer``, which adds 2r to the length; unless a lift fails,
-    the output length is r (_even_length(m) + 2 (L - 1)).  Finally the
-    free one-term complex of rank s is added and the augmentation carried
-    through the splitting isomorphism.
+    with ``strip_free`` and walk a composition series 0 = L_0 < L_1 <
+    ... < L_d = M' from the bottom (d = dim M'; it refines the radical
+    series, so L_1 is the trivial line k): L_1 is resolved by the tensor
+    resolution of k.  Each step 0 -> L_(j-1) -> L_j -> k -> 0 is rotated
+    through the cover kE of its top and spliced by ``_splice_step``,
+    which adds 2r to the length; unless a lift fails, the output length
+    is r (_even_length(m) + 2 (d - 1)), and every term dim follows from
+    (p, r, d, m) alone, whatever the module's radical layers are.
+    Finally the free one-term complex of rank s is added and the
+    augmentation carried through the splitting isomorphism.
     """
     if m < 0:
         raise ValueError("freeness degree must be >= 0")
@@ -284,15 +278,14 @@ def good_resolution(module: Module, m: int) -> GoodResolution:
     if cover.free.dim == module.dim:
         return _certified(tag_complex(single_term_complex(cover.free, cover.map)), m)
     strip = strip_free(module)
-    incls = [submodule(strip.module, rows)[1] for rows in radical_series(strip.module)[:-1]]
-    bottom = incls[-1].source
-    res = retarget_augmentation(_copies(_trivial_complex(group, m), bottom.dim), bottom)
-    for i in range(len(incls) - 2, -1, -1):
-        rot = rotate(ses_from_flag(incls[i + 1], incls[i]))
+    incls = composition_series(strip.module)
+    res = retarget_augmentation(_trivial_complex(group, m), incls[1].source)
+    for j in range(2, len(incls)):
+        rot = rotate(ses_from_flag(incls[j - 1], incls[j]))
         res_m = direct_sum_complexes(res, _free_term(rot.cover.free))
         if res_m.aug.target != rot.ses.proj.source:
             raise InternalError("direct-sum augmentation target mismatch")
-        res = _splice_layer(res_m, rot, m)
+        res = _splice_step(res_m, rot, m)
     if strip.stripped:
         res = direct_sum_complexes(res, _free_term(free_module(group, strip.stripped)))
     return _certified(Complex(res.terms, res.diffs, strip.iso @ res.aug, res.tags), m)

@@ -56,26 +56,3 @@ def ref_mat_pow(a, e, p):
 def ref_span_dim(vectors, p):
     """Dimension of the span of a list of vectors over F_p."""
     return ref_rank(vectors, p)
-
-
-def ref_loewy_length(gens, p):
-    """Loewy length of the module with generator matrices gens (lists of rows).
-
-    The least L with J^L M = 0, where J M is spanned by the columns of the
-    products (A_i - I) X over the columns X of a basis of M.
-    """
-    n = len(gens[0])
-    moves = [
-        [[(a[i][j] - (i == j)) % p for j in range(n)] for i in range(n)] for a in gens
-    ]
-    # rows of `layer` are a basis of J^L M, as row vectors
-    layer = [[int(i == j) for j in range(n)] for i in range(n)]
-    length = 0
-    while layer:
-        length += 1
-        columns = [list(col) for col in zip(*layer)]
-        images = [ref_matmul(b, columns, p) for b in moves]
-        stacked = [row for img in images for row in zip(*img)]
-        echelon, rank = ref_reduce(stacked, p)
-        layer = echelon[:rank]
-    return length

@@ -44,7 +44,7 @@ from permres.resolution import (
 )
 from permres.random_modules import random_module
 
-from helpers import ref_loewy_length, ref_rank
+from helpers import ref_rank
 from test_acceptance import END_TO_END_CORPUS
 
 C2 = Group(2, 1)
@@ -252,7 +252,7 @@ class TestGoodResolution:
         golden = {
             (2, 1, 3, 1, 603): "75b9d0a0ba986b02a6df52347c69698a36a78952e185aa9ffe381ec6bdd22ea4",
             (3, 2, 2, 1, 632): "7156f266b33ec5cdb6ccad6ed3c2bfcdd83c403c258cbf557503d8cefaf6bc29",
-            (2, 3, 2, 0, 7): "4ccff146805e7c8c036580fc9e11d73396ec831344bc590d6fb3424727fb0ad6",
+            (2, 3, 2, 0, 7): "717ad7b1c5dd6bef2572ae77f759f5c06524a4ac667e166c4914e046bd33aa92",
         }
         for (p, r, dim, m, seed), digest in golden.items():
             res = good_resolution(random_module(p, r, dim, seed), m)
@@ -271,11 +271,10 @@ class TestGoodResolution:
 
     @staticmethod
     def rule_length(mod, m):
-        # r (even(m) + 2 (L - 1)): even(m) the smallest even integer >= m + 1,
-        # L the Loewy length from the reference routines
+        # r (even(m) + 2 (dim M - 1)) for M without free summands: even(m) the
+        # smallest even integer >= m + 1, one 2r per composition step
         even = m + 1 + (m + 1) % 2
-        loewy = ref_loewy_length([a.a.tolist() for a in mod.action], mod.group.p)
-        return mod.group.rank * (even + 2 * (loewy - 1))
+        return mod.group.rank * (even + 2 * (mod.dim - 1))
 
     def test_length_rule_on_the_end_to_end_corpus(self):
         checked = 0
@@ -287,6 +286,15 @@ class TestGoodResolution:
             assert res.complex.top == self.rule_length(mod, m), (p, r, dim, m, seed)
             checked += 1
         assert checked >= 10
+
+    def test_term_dims_depend_only_on_dim_and_free_rank(self):
+        # modules with different radical layers, same (p, r, dim, free rank)
+        for p, r, dim, m in [(3, 1, 3, 2), (2, 2, 3, 1), (3, 2, 3, 1)]:
+            seen = {}
+            for seed in range(6):
+                mod = random_module(p, r, dim, seed)
+                seen.setdefault(free_rank(mod), set()).add(good_resolution(mod, m).complex.dims())
+            assert all(len(dims) == 1 for dims in seen.values()), (p, r, dim, seen)
 
     def test_non_free_module_plus_free_summands(self):
         mod = random_module(2, 2, 3, seed=5)
@@ -342,7 +350,7 @@ class TestGoodResolution:
         monkeypatch.setattr(resolution, "splice", always_fails)
         with pytest.raises(LiftFailed):
             good_resolution(random_module(3, 2, 3, seed=633), 1)
-        # the first layer has ell = 4: periodic lengths 4 (m' = ell / r) and
+        # the first step has ell = 4: periodic lengths 4 (m' = ell / r) and
         # 6 (m' = max(m, ell) + 1, where a lift always exists), then no more
         assert len(calls) == 2
 
