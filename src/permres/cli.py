@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import config
-from .complexes import certify_resolution, tag_complex
+from .complexes import certify_resolution, check_tags, tag_complex
 from .errors import CapExceeded, InternalError, LiftFailed, PermresError
 from .io import (
     FormatError,
@@ -33,11 +33,11 @@ from .modules import (
     Module,
     ModuleMap,
     free_rank,
-    omega,
+    omega_iter,
     radical_series,
     validate_module,
 )
-from .permutation import recognize, tensor_descriptor
+from .permutation import tensor_descriptor
 from .resolution import good_resolution, trim
 from .random_modules import random_module
 
@@ -90,16 +90,7 @@ def cmd_verify(args) -> int:
     lines = list(report.lines())
     ok = report.ok
     if loaded.tags is not None:
-        bad = None
-        for j, want in enumerate(loaded.tags):
-            try:
-                got = recognize(loaded.complex.terms[j]).descriptor
-            except PermresError as exc:
-                bad = f"degree {j}: {exc}"
-                break
-            if got != want:
-                bad = f"degree {j}: recognized tag differs from the stored tag"
-                break
+        bad = check_tags(loaded.complex.terms, loaded.tags)
         lines.append(f"tags-vs-file: {'PASS' if bad is None else 'FAIL (' + bad + ')'}")
         ok = ok and bad is None
     digest_ok = loaded.digest == loaded.digest_expected
@@ -114,9 +105,7 @@ def cmd_omega(args) -> int:
     if args.n < 0:
         raise FormatError(f"--n must be >= 0, got {args.n}")
     mod = _load_module(args.module)
-    current = mod
-    for _ in range(args.n):
-        current = omega(current)[0]
+    current = omega_iter(mod, args.n)
     save_obj(args.out, module_to_obj(current))
     print(f"omega^{args.n}: dim {current.dim}, free_rank {free_rank(current)}")
     print(f"wrote {args.out}")

@@ -8,11 +8,12 @@ The constructors check only the shapes of what they glue, and every
 direct sum of terms is one ``block_sum``.  ``cone`` and
 ``direct_sum_complexes`` compose the tags of their terms from the tags of
 their inputs (``direct_sum_tag``); ``tensor_complexes`` recognizes its
-terms, since a Mackey basis is not a concatenation.  ``truncate`` takes
-its input to be exact, and ``lift_chain_map`` does not multiply out the
-equivariant solves it makes.  ``certify_resolution`` is the one place that
-recomputes d^2 = 0, all homology dimensions, tag recognition and
-freeness, trusting none of them.
+terms, since a Mackey basis is not a concatenation.  ``truncate`` drops
+one degree of a complex it takes to be exact, and ``lift_chain_map`` does
+not multiply out the equivariant solves it makes.  ``certify_resolution``
+is the one place that recomputes d^2 = 0, all homology dimensions, tag
+recognition and freeness, trusting none of them; its tag check,
+``check_tags``, also compares a file's stored tags in ``permres verify``.
 
 Sign conventions (the certified statements are sign-independent):
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LiftFailed, NotResolution
+from .errors import LiftFailed, NotResolution, PermresError
 from .groups import Group
 from .linalg import Mat, block_diag, solve
 from .modules import (
@@ -340,27 +341,24 @@ def syzygy(c: Complex, j: int) -> Module:
     return kernel(b)[0]
 
 
-def truncate(c: Complex, steps: int = 1) -> Complex:
+def truncate(c: Complex) -> Complex:
     """Drop degree 0 and re-augment onto ker(eps): a resolution of the syzygy.
 
     The input is taken to be exact; only the re-augmentation is checked.
     """
-    for _ in range(steps):
-        if c.aug is None:
-            raise NotResolution("cannot truncate an unaugmented complex")
-        k, kappa = kernel(c.aug)
-        if c.top == 0:
-            if k.dim != 0:
-                raise NotResolution("augmentation of a length-0 resolution has a kernel")
-            z = trivial_module(c.group, 0)
-            c = Complex((z,), (), ModuleMap(z, k, Mat.zeros(c.group.p, 0, 0)))
-            continue
-        mat = solve(kappa.matrix, c.diffs[0].matrix)
-        if mat is None:
-            raise NotResolution("image of d_1 is not contained in ker(eps)")
-        aug = ModuleMap(c.terms[1], k, mat)
-        c = Complex(c.terms[1:], c.diffs[1:], aug, None if c.tags is None else c.tags[1:])
-    return c
+    if c.aug is None:
+        raise NotResolution("cannot truncate an unaugmented complex")
+    k, kappa = kernel(c.aug)
+    if c.top == 0:
+        if k.dim != 0:
+            raise NotResolution("augmentation of a length-0 resolution has a kernel")
+        z = trivial_module(c.group, 0)
+        return Complex((z,), (), ModuleMap(z, k, Mat.zeros(c.group.p, 0, 0)))
+    mat = solve(kappa.matrix, c.diffs[0].matrix)
+    if mat is None:
+        raise NotResolution("image of d_1 is not contained in ker(eps)")
+    aug = ModuleMap(c.terms[1], k, mat)
+    return Complex(c.terms[1:], c.diffs[1:], aug, None if c.tags is None else c.tags[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +435,18 @@ class CertReport:
         return out
 
 
+def check_tags(terms, descriptors) -> str | None:
+    """None if each term is recognized with its descriptor, else "degree j: ..."."""
+    for j, (term, want) in enumerate(zip(terms, descriptors)):
+        try:
+            got = recognize(term).descriptor
+        except PermresError as exc:  # NotPermutationBasis names the generator and row
+            return f"degree {j}: {exc}"
+        if got != want:
+            return f"degree {j}: recognized tag differs from the stored tag"
+    return None
+
+
 def certify_resolution(
     c: Complex,
     m: int | None = None,
@@ -505,16 +515,7 @@ def certify_resolution(
         add("exact", False, "no augmentation")
 
     if c.tags is not None:
-        bad = None
-        for j, tag in enumerate(c.tags):
-            try:
-                found = recognize(c.terms[j])
-            except Exception as exc:  # NotPermutationBasis carries the details
-                bad = f"degree {j}: {exc}"
-                break
-            if found.descriptor != tag.descriptor:
-                bad = f"degree {j}: recognized tag differs"
-                break
+        bad = check_tags(c.terms, [tag.descriptor for tag in c.tags])
         add("tags", bad is None, bad or "")
     elif require_tags:
         add("tags", False, "complex is untagged")

@@ -147,18 +147,18 @@ class Subgroup:
         piv = set(self.pivots())
         return tuple(c for c in range(self.group.rank) if c not in piv)
 
-    def reduce(self, vec) -> tuple[int, ...]:
-        """The canonical coset representative of vec + H (zero on all pivots)."""
-        p = self.group.p
-        v = [int(x) % p for x in vec]
-        for row, c in zip(self.basis.a, self.pivots()):
-            f = v[c]
-            if f:
-                v = [(x - f * int(y)) % p for x, y in zip(v, row)]
-        return tuple(v)
+    def reduce(self, vec):
+        """The canonical coset representative of vec + H (zero on all pivots).
+
+        An n x r array gives the n x r array of its rows' representatives.
+        One product clears every pivot: each rref row is zero on the others'.
+        """
+        v = np.asarray(vec, dtype=np.int64)
+        out = (v - v[..., list(self.pivots())] @ self.basis.a) % self.group.p
+        return tuple(out.tolist()) if out.ndim == 1 else out
 
     def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def coset_reps(self) -> tuple[tuple[int, ...], ...]:
         """All canonical representatives, lexicographically ordered."""
@@ -176,12 +176,14 @@ class Subgroup:
         """How each generator moves the cosets of H.
 
         Entry i - 1 is the index vector sigma of e_i on ``coset_reps()``:
-        e_i + reps[x] lies in the coset of reps[sigma[x]].
+        e_i + reps[x] lies in the coset of reps[sigma[x]].  The reps are
+        lexicographic in their free coordinates: an index is those, base p.
         """
-        reps = self.coset_reps()
-        pos = {rep: k for k, rep in enumerate(reps)}
+        reps = np.array(self.coset_reps(), dtype=np.int64)
+        free = list(self.free_coords())
+        weights = self.group.p ** np.arange(len(free) - 1, -1, -1)
         return tuple(
-            np.array([pos[self.reduce(np.add(rep, e_i))] for rep in reps], dtype=np.int64)
+            self.reduce(reps + e_i)[:, free] @ weights
             for e_i in np.eye(self.group.rank, dtype=np.int64)
         )
 

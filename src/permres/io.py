@@ -41,7 +41,7 @@ def canonical_dumps(obj) -> str:
 
 
 def _flat(mat: Mat) -> list[int]:
-    return [int(x) for x in mat.a.reshape(-1)]
+    return mat.a.reshape(-1).tolist()
 
 
 def _object(obj, what) -> dict:
@@ -69,13 +69,12 @@ def _unflat(p, rows, cols, entries, what) -> Mat:
 # modules
 
 
+def _module_body(m: Module) -> dict:
+    return {"dim": m.dim, "generators": [_flat(a) for a in m.action]}
+
+
 def module_to_obj(m: Module) -> dict:
-    return {
-        "p": m.group.p,
-        "rank": m.group.rank,
-        "dim": m.dim,
-        "generators": [_flat(a) for a in m.action],
-    }
+    return {"p": m.group.p, "rank": m.group.rank, **_module_body(m)}
 
 
 def _module_body_from_obj(group: Group, obj, what="module") -> Module:
@@ -164,17 +163,11 @@ def complex_to_obj(c: Complex, m: int | None = None) -> dict:
     payload = {
         "p": group.p,
         "rank": group.rank,
-        "terms": [{"dim": t.dim, "generators": [_flat(a) for a in t.action]} for t in c.terms],
+        "terms": [_module_body(t) for t in c.terms],
         "differentials": [_flat(d.matrix) for d in c.diffs],
         "augmentation": None
         if c.aug is None
-        else {
-            "target": {
-                "dim": c.aug.target.dim,
-                "generators": [_flat(a) for a in c.aug.target.action],
-            },
-            "matrix": _flat(c.aug.matrix),
-        },
+        else {"target": _module_body(c.aug.target), "matrix": _flat(c.aug.matrix)},
     }
     if c.tags is not None:
         payload["tags"] = [

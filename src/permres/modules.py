@@ -192,16 +192,20 @@ def submodule(m: Module, rows: Mat):
     rows is canonicalised to rref; returns (S, incl) with incl the column
     embedding S -> m.
     """
-    basis = row_space(rows)
-    incl = basis.T
+    incl = row_space(rows).T
+    s = _restricted(m, incl)
+    return s, ModuleMap(s, m, incl)
+
+
+def _restricted(m: Module, basis: Mat) -> Module:
+    """m on the invariant column span of basis: each X solves basis X = A basis."""
     action = []
     for a in m.action:
-        x = solve(incl, a @ incl)
+        x = solve(basis, a @ basis)
         if x is None:
-            raise InternalError("row span is not action-invariant")
+            raise InternalError("subspace is not action-invariant")
         action.append(x)
-    s = Module(m.group, tuple(action))
-    return s, ModuleMap(s, m, incl)
+    return Module(m.group, tuple(action))
 
 
 def radical(m: Module):
@@ -260,13 +264,7 @@ def quotient(m: Module, incl: ModuleMap):
 def kernel(f: ModuleMap):
     """ker f with the canonical nullspace basis; returns (K, incl)."""
     basis = nullspace(f.matrix)
-    action = []
-    for a in f.source.action:
-        x = solve(basis, a @ basis)
-        if x is None:
-            raise InternalError("kernel is not action-invariant")
-        action.append(x)
-    k = Module(f.source.group, tuple(action))
+    k = _restricted(f.source, basis)
     return k, ModuleMap(k, f.source, basis)
 
 

@@ -35,7 +35,7 @@ from .modules import Module, fixed_points, orbit_columns
 
 @dataclass(frozen=True)
 class PermutationDescriptor:
-    """A multiset of subgroups naming (+)_j k(E/H_j), canonically sorted."""
+    """A multiset of subgroups naming (+)_j k(E/H_j), sorted so ``==`` compares multisets."""
 
     group: Group
     parts: tuple[Subgroup, ...]
@@ -54,19 +54,6 @@ class PermutationDescriptor:
 
     def is_free(self) -> bool:
         return all(part.is_trivial() for part in self.parts)
-
-    def multiset(self):
-        return tuple(part.key for part in self.parts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PermutationDescriptor)
-            and self.group == other.group
-            and self.multiset() == other.multiset()
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.multiset()))
 
     def __repr__(self):
         return "[" + " + ".join(repr(p) for p in self.parts) + "]"
@@ -165,10 +152,7 @@ def recognize(m: Module) -> TaggedModule:
             raise InternalError(
                 f"orbit of index {start} has size {orbit.size}, expected {stab.index}"
             )
-        # Subgroup.reduce on all of them at once: clear the pivots with the rref rows
-        moves = elements[first]
-        reps = (moves - moves[:, list(stab.pivots())] @ stab.basis.a) % group.p
-        for t, rep in zip(orbit.tolist(), reps.tolist()):
+        for t, rep in zip(orbit.tolist(), stab.reduce(elements[first]).tolist()):
             basis_map[t] = (part_idx, tuple(rep))
         parts.append(stab)
     return TaggedModule(module=m, parts=tuple(parts), basis_map=tuple(basis_map))

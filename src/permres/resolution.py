@@ -20,9 +20,9 @@ resolution of M by permutation modules that is free up to degree m:
 Build once, certify once: the construction never re-checks what it
 built (only the inputs of the public ``rotate`` and ``splice``), and
 ``certify_resolution`` recomputes every claim of the final result
-independently, exactly once.  The periodic complexes take their tags
-from ``realize``, which made their terms; the terms of the tensor
-complexes, the one-term free complexes and the trimmed degree 0 are
+independently, exactly once.  The periodic complexes and the one-term
+free complexes take their tags from ``realize``, which made their terms;
+only the terms of the tensor complexes and the trimmed degree 0 are
 recognized, and the tags of cones and direct sums are composed from
 those.  ``trim`` certifies its own output.  Every lift out of a
 permutation module (the cover map in ``rotate``, each degree of the
@@ -44,9 +44,6 @@ from .complexes import (
     cone,
     direct_sum_complexes,
     lift_chain_map,
-    retarget_augmentation,
-    single_term_complex,
-    tag_complex,
     tensor_complexes,
     truncate,
 )
@@ -62,7 +59,6 @@ from .modules import (
     check_module_map,
     check_ses,
     composition_series,
-    free_module,
     free_rank,
     identity_map,
     kernel,
@@ -112,14 +108,9 @@ def periodic_complex(group: Group, i: int, ell: int) -> Complex:
     coset_tag = realize(PermutationDescriptor(group, (part,)))
     k_tag = realize(PermutationDescriptor(group, (Subgroup.full(group),)))
     coset, k = coset_tag.module, k_tag.module
-    g = coset.action[i - 1]
-    eye = Mat.identity(p, p)
-    gm1 = g - eye
-    norm = eye
-    power = eye
-    for _ in range(p - 1):
-        power = power @ g
-        norm = norm + power
+    gm1 = coset.action[i - 1] - Mat.identity(p, p)
+    # g permutes the p cosets in one cycle, so the norm sum_k g^k is all ones
+    norm = Mat(p, np.ones((p, p), dtype=np.int64))
     ones_col = Mat(p, np.ones((p, 1), dtype=np.int64))
     ones_row = Mat(p, np.ones((1, p), dtype=np.int64))
     terms = [coset] * ell + [k]
@@ -178,7 +169,7 @@ def rotate(ses: ShortExactSequence) -> Rotation:
     group = mod_m.group
     cover = projective_cover(mod_n)
     # phi : P -> M covers pi_P through proj; P is t free parts, tagged by realize
-    free_tag = realize(PermutationDescriptor(group, (Subgroup.trivial(group),) * cover.free_rank))
+    free_tag = _free_term(group, cover.free_rank).tags[0]
     phi_mat = solve_equivariant(free_tag, mod_m, proj.matrix, cover.map.matrix)
     if phi_mat is None:
         raise InternalError("projection admits no preimage of a cover generator")
@@ -223,9 +214,10 @@ def splice(res_l: Complex, res_m: Complex, f: ModuleMap, quot: ModuleMap) -> Com
 # the end-to-end construction
 
 
-def _free_term(free: Module) -> Complex:
-    """The one-term resolution of a free module by itself."""
-    return tag_complex(single_term_complex(free, identity_map(free)))
+def _free_term(group: Group, t: int) -> Complex:
+    """(kE)^t resolving itself, tagged by ``realize`` as ``recognize`` would tag it."""
+    tag = realize(PermutationDescriptor(group, (Subgroup.trivial(group),) * t))
+    return Complex((tag.module,), (), identity_map(tag.module), (tag,))
 
 
 def _splice_step(res_m: Complex, rot: Rotation, m: int) -> Complex:
@@ -276,18 +268,20 @@ def good_resolution(module: Module, m: int) -> GoodResolution:
     group = module.group
     cover = projective_cover(module)
     if cover.free.dim == module.dim:
-        return _certified(tag_complex(single_term_complex(cover.free, cover.map)), m)
+        free = _free_term(group, cover.free_rank)
+        return _certified(Complex(free.terms, (), cover.map, free.tags), m)
     strip = strip_free(module)
     incls = composition_series(strip.module)
-    res = retarget_augmentation(_trivial_complex(group, m), incls[1].source)
+    # L_1 lies in the socle: it is k, with the matrices of res's augmentation target
+    res = _trivial_complex(group, m)
     for j in range(2, len(incls)):
         rot = rotate(ses_from_flag(incls[j - 1], incls[j]))
-        res_m = direct_sum_complexes(res, _free_term(rot.cover.free))
+        res_m = direct_sum_complexes(res, _free_term(group, rot.cover.free_rank))
         if res_m.aug.target != rot.ses.proj.source:
             raise InternalError("direct-sum augmentation target mismatch")
         res = _splice_step(res_m, rot, m)
     if strip.stripped:
-        res = direct_sum_complexes(res, _free_term(free_module(group, strip.stripped)))
+        res = direct_sum_complexes(res, _free_term(group, strip.stripped))
     return _certified(Complex(res.terms, res.diffs, strip.iso @ res.aug, res.tags), m)
 
 
@@ -299,7 +293,7 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
     """From a resolution of M (+) Q with Q free, produce one of M.
 
     The epimorphism from degree 0 onto Q forces Q to split off a set of
-    free parts of the degree-0 term: select them greedily (multi-pass,
+    free parts of the degree-0 term: select them greedily (one scan,
     each part accepted when it adds a full p^r to the rank), then cancel
     them against Q, restricting the augmentation and d_1.
     """
@@ -333,22 +327,16 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
     ]
     composite = proj_q.matrix @ res.aug.matrix
     selected: list[int] = []
-    chosen_cols: list[Mat] = []
-    current_rank = 0
-    while current_rank < q_mod.dim:
-        progressed = False
-        for idx in free_parts:
-            if idx in selected:
-                continue
-            cand = composite.take_cols(positions[idx])
-            stacked = hstack(chosen_cols + [cand]) if chosen_cols else cand
-            if rank(stacked) == current_rank + order:
-                selected.append(idx)
-                chosen_cols.append(cand)
-                current_rank += order
-                progressed = True
-        if not progressed:
-            raise SelectionFailed("no set of free parts maps isomorphically onto Q")
+    # Rank is submodular: a part that adds less than |E| against the parts
+    # chosen so far never adds |E| against more of them, so one scan suffices.
+    for idx in free_parts:
+        if len(selected) == t:
+            break
+        cols = [pos for j in selected + [idx] for pos in positions[j]]
+        if rank(composite.take_cols(cols)) == len(cols):
+            selected.append(idx)
+    if len(selected) < t:
+        raise SelectionFailed("no set of free parts maps isomorphically onto Q")
     w_cols = sorted(pos for idx in selected for pos in positions[idx])
     keep_cols = [c for c in range(res.terms[0].dim) if c not in set(w_cols)]
     eps_m = proj_m.matrix @ res.aug.matrix

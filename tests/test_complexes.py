@@ -33,7 +33,7 @@ from permres.modules import (
     zero_map,
 )
 from permres.permutation import recognize
-from permres.resolution import periodic_complex, trivial_resolution
+from permres.resolution import _free_term, periodic_complex, trivial_resolution
 
 C2 = Group(2, 1)
 C3 = Group(3, 1)
@@ -270,6 +270,17 @@ class TestAssembly:
         # composed tags are exactly the recognized ones, basis_map included
         assert s.tags is not None
         for tag, term in zip(s.tags, s.terms):
+            assert tag == recognize(term)
+
+    @pytest.mark.parametrize("p, r", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    def test_free_term_tags_are_recognized_ones(self, p, r, t):
+        group = Group(p, r)
+        free = _free_term(group, t)
+        assert free.terms[0] == free_module(group, t)
+        s = direct_sum_complexes(trivial_resolution(group, 1).complex, free)
+        # realized and composed tags are exactly the recognized ones, basis_map included
+        for tag, term in zip(free.tags + s.tags, free.terms + s.terms):
             assert tag == recognize(term)
 
     def test_retarget(self):

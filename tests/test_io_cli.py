@@ -125,6 +125,25 @@ class TestCli:
         assert "VERDICT: FAIL" in out
         assert "FAIL" in [line.split(": ", 1)[1][:4] for line in out.splitlines() if ": " in line][0] or "FAIL" in out
 
+    def test_verify_catches_a_wrong_stored_tag(self, tmp_path, capsys):
+        mod_path = tmp_path / "mod.json"
+        res_path = tmp_path / "res.json"
+        mod_path.write_text(canonical_dumps(module_to_obj(trivial_module(Group(2, 2), 1))))
+        assert self.run("build", str(mod_path), "--m", "1", "--out", str(res_path)) == 0
+        capsys.readouterr()
+        obj = json.loads(res_path.read_text())
+        # degree 1 is free; claim it is k(E/E) = k instead, a valid descriptor
+        assert obj["tags"][1] != [[[1, 0], [0, 1]]]
+        obj["tags"][1] = [[[1, 0], [0, 1]]]
+        res_path.write_text(canonical_dumps(obj))
+        assert self.run("verify", str(res_path)) == 2
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if ": FAIL" in line]
+        assert failed == [
+            "tags-vs-file: FAIL (degree 1: recognized tag differs from the stored tag)",
+            "VERDICT: FAIL",
+        ]
+
     def test_build_rejects_invalid_module(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         obj = {

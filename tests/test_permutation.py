@@ -46,6 +46,25 @@ class TestSubgroups:
         assert h.coset_reps() == ((0, 0), (1, 0))
         assert h.reduce((1, 1)) == (1, 0)
 
+    def test_batch_reduce_matches_each_vector(self):
+        for group in (V4, C3_2, C2_3):
+            p = group.p
+            elements = group.elements()
+            for sub in all_subgroups(group):
+                rows = sub.basis.a.tolist()
+                members = {
+                    tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) % p for k in range(group.rank))
+                    for coeffs in itertools.product(range(p), repeat=len(rows))
+                }
+                batch = sub.reduce(np.array(elements, dtype=np.int64))
+                assert batch.shape == (group.order, group.rank)
+                for v, row in zip(elements, batch.tolist()):
+                    assert sub.reduce(v) == tuple(row)
+                    # brute force: the one element of v + H that is zero on every pivot
+                    coset = {tuple((a + b) % p for a, b in zip(v, h)) for h in members}
+                    assert [w for w in coset if not any(w[c] for c in sub.pivots())] == [tuple(row)]
+                    assert sub.contains(v) == (v in members)
+
     def test_step_table(self):
         for group in (Group(2, 1), V4, C2_3, C3_2, Group(5, 2)):
             elements = group.elements()
