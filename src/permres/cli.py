@@ -93,7 +93,7 @@ def cmd_verify(args) -> int:
         bad = check_tags(loaded.complex.terms, loaded.tags)
         lines.append(f"tags-vs-file: {'PASS' if bad is None else 'FAIL (' + bad + ')'}")
         ok = ok and bad is None
-    digest_ok = loaded.digest == loaded.digest_expected
+    digest_ok = loaded.digest_expected is not None and loaded.digest == loaded.digest_expected
     lines.append(f"digest: {'ok' if digest_ok else 'MISMATCH (informational)'}")
     for line in lines:
         print(line)

@@ -6,6 +6,14 @@ and serialize(parse(text)) reproduces the bytes, so fixed seeds give
 byte-identical outputs.  On input every integer field must be a JSON
 integer: ``true`` and ``false`` are rejected, not read as 1 and 0.
 
+Canonical bytes come from orjson with sorted keys; on everything permres
+writes they equal ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.
+The two differ on exponent-form floats, NaN and text from U+007F up;
+orjson refuses integers of 2^64 or more, nesting deeper than 254 and lone
+surrogates.  A complex file holding such values still loads, but its
+informational digest reads MISMATCH.  Files are read with the stdlib
+``json`` module, which peaks lower in memory than orjson.
+
 * module file:     {p, rank, dim, generators: [flat row-major, one per generator]}
 * descriptor file: {p, rank, parts: [[subgroup basis rows], ...]}
 * complex file:    {p, rank, terms, differentials, augmentation, tags?, meta}
@@ -23,6 +31,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .complexes import Complex
 from .errors import PermresError
@@ -36,8 +45,12 @@ class FormatError(PermresError):
     """Malformed or inconsistent input file."""
 
 
+def _canonical_bytes(obj) -> bytes:
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS) + b"\n"
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical_bytes(obj).decode()
 
 
 def _flat(mat: Mat) -> list[int]:
@@ -57,12 +70,21 @@ def _list(obj, what) -> list:
 
 
 def _unflat(p, rows, cols, entries, what) -> Mat:
+    """The rows x cols matrix of a flat entry list, checked as a whole; only a
+    list that fails is walked entry by entry, to name its first bad entry."""
     if len(_list(entries, what)) != rows * cols:
         raise FormatError(f"{what}: expected {rows * cols} entries, got {len(entries)}")
-    for x in entries:
-        if type(x) is not int or not 0 <= x < p:
-            raise FormatError(f"{what}: entry {x!r} is not a reduced residue mod {p}")
-    return Mat(p, np.array(entries, dtype=np.int64).reshape(rows, cols))
+    a = None
+    if set(map(type, entries)) <= {int}:
+        try:
+            a = np.array(entries, dtype=np.int64)
+        except OverflowError:
+            pass
+    if a is None or (a.size and (a.min() < 0 or a.max() >= p)):
+        for x in entries:
+            if type(x) is not int or not 0 <= x < p:
+                raise FormatError(f"{what}: entry {x!r} is not a reduced residue mod {p}")
+    return Mat._wrap(p, a.reshape(rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +177,7 @@ class LoadedComplex:
     tags: tuple[PermutationDescriptor, ...] | None
     m: int | None
     digest: str | None
-    digest_expected: str
+    digest_expected: str | None  # None when the payload has no canonical bytes
 
 
 def complex_to_obj(c: Complex, m: int | None = None) -> dict:
@@ -179,7 +201,7 @@ def complex_to_obj(c: Complex, m: int | None = None) -> dict:
 
 def _payload_digest(payload: dict) -> str:
     stripped = {k: v for k, v in payload.items() if k != "meta"}
-    return hashlib.sha256(canonical_dumps(stripped).encode()).hexdigest()
+    return hashlib.sha256(_canonical_bytes(stripped)).hexdigest()
 
 
 def complex_from_obj(obj) -> LoadedComplex:
@@ -243,12 +265,16 @@ def complex_from_obj(obj) -> LoadedComplex:
     m = meta.get("m")
     if m is not None and (type(m) is not int or m < 0):
         raise FormatError("meta.m must be a non-negative integer or null")
+    try:
+        expected = _payload_digest(obj)
+    except orjson.JSONEncodeError:
+        expected = None
     return LoadedComplex(
         complex=Complex(tuple(terms), diffs, aug),
         tags=tags,
         m=m,
         digest=meta.get("digest"),
-        digest_expected=_payload_digest(obj),
+        digest_expected=expected,
     )
 
 
@@ -267,8 +293,8 @@ def detect_kind(obj) -> str:
 
 
 def save_obj(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_dumps(obj))
+    with open(path, "wb") as fh:
+        fh.write(_canonical_bytes(obj))
 
 
 def load_obj(path):
@@ -277,3 +303,5 @@ def load_obj(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise FormatError("invalid JSON: nested too deeply") from exc

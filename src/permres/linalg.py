@@ -339,15 +339,24 @@ def inverse(m: Mat) -> Mat:
 
 
 def permutation_vector(m: Mat):
-    """sigma with m e_x = e_{sigma[x]} if m is a permutation matrix, else None."""
+    """sigma with m e_x = e_{sigma[x]} if m is a permutation matrix, else None.
+
+    Two passes over the entries: every column's first largest entry is a 1
+    and there are only n nonzero entries, so each column holds one 1 and
+    nothing else; sigma then hits every row, so each row holds one 1.
+    """
+    n = m.rows
+    if m.cols != n:
+        return None
+    if not n:
+        return np.zeros(0, dtype=np.intp)
     a = m.a
-    if m.rows != m.cols:
+    sigma = a.argmax(axis=0)
+    if np.count_nonzero(a) != n or not (a[sigma, np.arange(n)] == 1).all():
         return None
-    if not np.all((a == 0) | (a == 1)):
-        return None
-    if not (np.all(a.sum(axis=0) == 1) and np.all(a.sum(axis=1) == 1)):
-        return None
-    return np.argmax(a, axis=0) if m.rows else np.zeros(0, dtype=np.int64)
+    hit = np.zeros(n, dtype=bool)
+    hit[sigma] = True
+    return sigma if hit.all() else None
 
 
 def permutation_matrix(p: int, sigma) -> Mat:

@@ -24,6 +24,7 @@ from .linalg import (
     mat_pow,
     nullspace,
     permutation_matrix,
+    permutation_vector,
     rank,
     row_space,
     solve,
@@ -116,9 +117,19 @@ def zero_map(source: Module, target: Module) -> ModuleMap:
 
 
 def check_module_map(f: ModuleMap):
-    """None if f intertwines the two actions, else a report string."""
+    """None if f intertwines the two actions, else a report string.
+
+    Where both generators are permutations sigma (source) and tau
+    (target), f A_s = A_t f reads f[tau[y], sigma[x]] = f[y, x]: one
+    gather, no product.
+    """
     for i, (a_s, a_t) in enumerate(zip(f.source.action, f.target.action)):
-        if f.matrix @ a_s != a_t @ f.matrix:
+        sigma, tau = permutation_vector(a_s), permutation_vector(a_t)
+        if sigma is not None and tau is not None:
+            ok = np.array_equal(f.matrix.a[np.ix_(tau, sigma)], f.matrix.a)
+        else:
+            ok = f.matrix @ a_s == a_t @ f.matrix
+        if not ok:
             return f"map does not intertwine generator {i + 1}"
     return None
 
@@ -168,16 +179,45 @@ def free_module(group: Group, t: int) -> Module:
     return Module(group, gens)
 
 
+def _perm_pow(sigma: np.ndarray, e: int) -> np.ndarray:
+    """sigma^e for a permutation vector, by binary powering on index vectors."""
+    result = np.arange(len(sigma))
+    square = sigma
+    while e:
+        if e & 1:
+            result = square[result]
+        square = square[square]
+        e >>= 1
+    return result
+
+
 def validate_module(m: Module):
-    """None if the module invariants hold, else the first failed identity."""
-    d = m.dim
+    """None if the module invariants hold, else the first failed identity.
+
+    A generator that is a permutation matrix is checked on its vector
+    sigma (A e_x = e_sigma[x], so A B is sigma_A[sigma_B]); any other
+    generator, and every pair involving one, by dense products.
+    """
+    d, p = m.dim, m.group.p
+    perms = []
     for i, a in enumerate(m.action):
         if a.shape != (d, d):
             return f"generator {i + 1}: not a {d} x {d} matrix"
-        if not mat_pow(a, m.group.p).is_identity():
+        sigma = permutation_vector(a)
+        if sigma is None:
+            ok = mat_pow(a, p).is_identity()
+        else:
+            ok = np.array_equal(_perm_pow(sigma, p), np.arange(d))
+        if not ok:
             return f"generator {i + 1}: order does not divide p"
+        perms.append(sigma)
     for i, j in itertools.combinations(range(m.group.rank), 2):
-        if m.action[i] @ m.action[j] != m.action[j] @ m.action[i]:
+        si, sj = perms[i], perms[j]
+        if si is not None and sj is not None:
+            ok = np.array_equal(si[sj], sj[si])
+        else:
+            ok = m.action[i] @ m.action[j] == m.action[j] @ m.action[i]
+        if not ok:
             return f"commutativity i={i + 1} j={j + 1}"
     return None
 

@@ -2,8 +2,13 @@
 
 Everything here is pure Python on lists of ints, deliberately sharing no
 code with the library, so that expected values in the tests come from a
-second implementation path.
+second implementation path.  The ``ref_*`` routines at the end keep the
+library's earlier, slower implementations: the stdlib JSON encoding, the
+per-entry matrix parse and the dense module certificate.
 """
+
+import itertools
+import json
 
 
 def ref_reduce(rows, p):
@@ -56,3 +61,68 @@ def ref_mat_pow(a, e, p):
 def ref_span_dim(vectors, p):
     """Dimension of the span of a list of vectors over F_p."""
     return ref_rank(vectors, p)
+
+
+def ref_permutation_vector(a):
+    """sigma with a e_x = e_sigma[x] for a 0/1 matrix with one 1 per row and column, else None."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        return None
+    if any(x not in (0, 1) for row in a for x in row):
+        return None
+    if any(sum(row) != 1 for row in a) or any(sum(col) != 1 for col in zip(*a)):
+        return None
+    return [[a[y][x] for y in range(n)].index(1) for x in range(n)]
+
+
+def ref_canonical_dumps(obj) -> str:
+    """The canonical file text as the stdlib encoder writes it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def ref_unflat_error(p, rows, cols, entries, what):
+    """The text of the format error for a flat matrix entry list, or None."""
+    if not isinstance(entries, list):
+        return f"{what}: expected a JSON list"
+    if len(entries) != rows * cols:
+        return f"{what}: expected {rows * cols} entries, got {len(entries)}"
+    for x in entries:
+        if type(x) is not int or not 0 <= x < p:
+            return f"{what}: entry {x!r} is not a reduced residue mod {p}"
+    return None
+
+
+def ref_mat_pow_fast(a, e, p):
+    """a^e mod p by binary powering, for exponents too large to step through."""
+    n = len(a)
+    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    square = [list(row) for row in a]
+    while e:
+        if e & 1:
+            out = ref_matmul(out, square, p)
+        square = ref_matmul(square, square, p)
+        e >>= 1
+    return out
+
+
+def ref_validate_module(action, p):
+    """The module certificate on dense generator matrices (lists of rows)."""
+    d = len(action[0]) if action else 0
+    eye = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    for i, a in enumerate(action):
+        if len(a) != d or any(len(row) != d for row in a):
+            return f"generator {i + 1}: not a {d} x {d} matrix"
+        if ref_mat_pow_fast(a, p, p) != eye:
+            return f"generator {i + 1}: order does not divide p"
+    for i, j in itertools.combinations(range(len(action)), 2):
+        if ref_matmul(action[i], action[j], p) != ref_matmul(action[j], action[i], p):
+            return f"commutativity i={i + 1} j={j + 1}"
+    return None
+
+
+def ref_check_module_map(f, source_action, target_action, p):
+    """The intertwining check f A_s = A_t f on dense matrices (lists of rows)."""
+    for i, (a_s, a_t) in enumerate(zip(source_action, target_action)):
+        if ref_matmul(f, a_s, p) != ref_matmul(a_t, f, p):
+            return f"map does not intertwine generator {i + 1}"
+    return None

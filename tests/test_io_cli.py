@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import ref_canonical_dumps, ref_unflat_error
 from permres.cli import main
-from permres.groups import Group, Subgroup
+from permres.groups import Group, Subgroup, all_subgroups
 from permres.io import (
     FormatError,
     canonical_dumps,
@@ -19,11 +22,13 @@ from permres.io import (
     detect_kind,
     module_from_obj,
     module_to_obj,
+    save_obj,
 )
 from permres.modules import free_module, trivial_module
 from permres.permutation import PermutationDescriptor
 from permres.random_modules import random_module
-from permres.resolution import good_resolution
+from permres.resolution import good_resolution, trivial_resolution
+from test_acceptance import END_TO_END_CORPUS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -372,3 +377,182 @@ class TestCli:
         self.run("random", "--p", "3", "--r", "1", "--dim", "3", "--seed", "5", "--out", str(mod_path))
         assert self.run("build", str(mod_path), "--m", "2", "--out", str(res_path)) == 0
         assert self.run("verify", str(res_path), "--m", "2") == 0
+
+
+# (p, r, m) of the trivial resolutions that the benchmark's verify workload reads
+VERIFY_INPUTS = ((2, 3, 5), (3, 2, 20), (5, 2, 7))
+
+
+@pytest.fixture(scope="module")
+def verify_workload_objects():
+    return [
+        complex_to_obj(trivial_resolution(Group(p, r), m).complex, m=m)
+        for p, r, m in VERIFY_INPUTS
+    ]
+
+
+def assert_stdlib_bytes(obj):
+    """canonical_dumps and, for a complex, its stored digest match the stdlib encoder."""
+    text = canonical_dumps(obj)
+    assert text == ref_canonical_dumps(obj)
+    if "meta" in obj:
+        payload = {k: v for k, v in obj.items() if k != "meta"}
+        expected = hashlib.sha256(ref_canonical_dumps(payload).encode()).hexdigest()
+        assert obj["meta"]["digest"] == expected
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**63), 2**63 - 1),
+    lambda inner: st.lists(inner, max_size=5)
+    # U+007F is ASCII, but only the stdlib encoder escapes it (see permres.io)
+    | st.dictionaries(st.text(st.characters(max_codepoint=0x7E), max_size=4), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestCanonicalBytes:
+    def test_acceptance_6_outputs(self):
+        for p, r, dim, m, seed in END_TO_END_CORPUS:
+            res = good_resolution(random_module(p, r, dim, seed), m)
+            assert_stdlib_bytes(complex_to_obj(res.complex, m=res.m))
+
+    def test_verify_workload_files(self, verify_workload_objects, tmp_path):
+        for k, obj in enumerate(verify_workload_objects):
+            assert_stdlib_bytes(obj)
+            path = tmp_path / f"c{k}.json"
+            save_obj(path, obj)
+            assert path.read_bytes() == ref_canonical_dumps(obj).encode()
+
+    def test_modules_and_descriptors(self):
+        for p, r, dim, seed in [(2, 1, 3, 1), (3, 2, 4, 2), (2, 3, 2, 3), (5, 1, 0, 4)]:
+            assert_stdlib_bytes(module_to_obj(random_module(p, r, dim, seed)))
+        for group in (Group(2, 2), Group(3, 2)):
+            d = PermutationDescriptor(group, all_subgroups(group))
+            assert_stdlib_bytes(descriptor_to_obj(d))
+
+    @given(json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_json_values(self, value):
+        assert canonical_dumps(value) == ref_canonical_dumps(value)
+
+
+class TestMatrixParse:
+    @pytest.mark.parametrize(
+        "p, dim, entries",
+        [
+            (2, 1, [True]),
+            (2, 1, [False]),
+            (3, 1, [1.0]),
+            (3, 1, [-1]),
+            (3, 1, [3]),
+            (5, 1, [2**64]),
+            (5, 1, [-(2**64)]),
+            (5, 1, [2**63]),
+            (3, 1, [None]),
+            (3, 1, ["1"]),
+            (3, 2, [0, 1, True, 1]),
+            (3, 2, [1, 0, 0, 1.0]),
+            (3, 2, [1, 0, [0], 1]),
+            (3, 2, [1, 0, 2**64, True]),
+            (3, 2, [1, 0, 7, -1]),
+            (3, 2, [1, 0, 0]),
+            (3, 2, {"entries": [1, 0, 0, 1]}),
+            (2, 0, []),
+            (2, 0, [0]),
+            (2, 0, [True]),
+            (3, 2, [1, 0, 0, 1]),
+            (3, 2, [2, 1, 0, 2]),
+        ],
+    )
+    def test_error_text_matches_the_entry_walk(self, p, dim, entries):
+        obj = {"p": p, "rank": 1, "dim": dim, "generators": [entries]}
+        expected = ref_unflat_error(p, dim, dim, entries, "module generator 1")
+        if expected is None:
+            mod = module_from_obj(obj)
+            assert mod.action[0].a.reshape(-1).tolist() == entries
+        else:
+            with pytest.raises(FormatError) as exc:
+                module_from_obj(obj)
+            assert str(exc.value) == expected
+
+    def test_differential_errors_name_the_differential(self):
+        obj = complex_to_obj(trivial_resolution(Group(3, 1), 2).complex, m=2)
+        diff = obj["differentials"][1]
+        diff[len(diff) // 2] = 2**64
+        expected = ref_unflat_error(3, 3, 3, diff, "differential 2")
+        with pytest.raises(FormatError) as exc:
+            complex_from_obj(obj)
+        assert str(exc.value) == expected
+
+
+def _deep(depth):
+    return "[" * depth + "]" * depth
+
+
+class TestHostileJson:
+    """Inputs that the stdlib parser or the canonical encoder cannot take."""
+
+    @pytest.fixture
+    def complex_obj(self):
+        return complex_to_obj(good_resolution(trivial_module(Group(2, 1), 1), 0).complex, m=0)
+
+    @pytest.mark.parametrize("verb", ["verify", "info"])
+    def test_deeply_nested_terms_exit_2(self, tmp_path, capsys, verb):
+        path = tmp_path / "deep.json"
+        path.write_text('{"p":2,"rank":1,"terms":' + _deep(100000) + "}")
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value, digest",
+        [
+            ([1, {"a": None, "b": True}], "ok"),
+            (json.loads(_deep(300)), "MISMATCH (informational)"),
+            (2**64, "MISMATCH (informational)"),
+            (-(2**64), "MISMATCH (informational)"),
+            ("\ud800", "MISMATCH (informational)"),
+            ("caf\u00e9", "MISMATCH (informational)"),
+            (0.5, "ok"),
+            (1e16, "MISMATCH (informational)"),
+            (float("nan"), "MISMATCH (informational)"),
+        ],
+        ids=[
+            "control", "nested-300", "2^64", "-2^64", "lone-surrogate", "non-ascii",
+            "plain-float", "exponent-float", "nan",
+        ],
+    )
+    @pytest.mark.parametrize("keep_meta", [True, False], ids=["meta", "no-meta"])
+    def test_unknown_keys_only_move_the_digest(
+        self, tmp_path, capsys, complex_obj, value, digest, keep_meta
+    ):
+        # meta.digest is the stdlib encoder's digest of the payload.  orjson
+        # refuses or re-encodes all but the two control values, so those read
+        # MISMATCH; a missing meta.digest never matches a digest that cannot
+        # be computed
+        complex_obj["extra"] = value
+        del complex_obj["meta"]
+        if keep_meta:
+            stdlib_digest = hashlib.sha256(ref_canonical_dumps(complex_obj).encode()).hexdigest()
+            complex_obj["meta"] = {"m": 0, "digest": stdlib_digest}
+        else:
+            digest = "MISMATCH (informational)"
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(complex_obj))
+        assert main(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"digest: {digest}" in lines
+        assert lines[-1] == "VERDICT: PASS"
+        assert main(["info", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "value", [json.loads(_deep(300)), 2**64, "\ud800"], ids=["nested-300", "2^64", "lone-surrogate"]
+    )
+    @pytest.mark.parametrize("verb", ["verify", "info"])
+    def test_unencodable_entries_exit_2(self, tmp_path, capsys, complex_obj, value, verb):
+        complex_obj["differentials"][0][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(complex_obj))
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: differential 1: entry ") and "Traceback" not in err

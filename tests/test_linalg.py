@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from permres.linalg import (
     vstack,
 )
 
-from helpers import ref_mat_pow, ref_rank, ref_reduce
+from helpers import ref_mat_pow, ref_permutation_vector, ref_rank, ref_reduce
 
 PRIMES = [2, 3, 5]
 
@@ -217,6 +219,19 @@ class TestMatOps:
         m = Mat(2, [[0, 1], [1, 0]])
         assert permutation_vector(m).tolist() == [1, 0]
         assert permutation_vector(Mat(2, [[1, 1], [0, 1]])) is None
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (2, 3), (3, 3)])
+    def test_permutation_vector_on_every_small_matrix(self, p, n):
+        for entries in itertools.product(range(p), repeat=n * n):
+            rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+            got = permutation_vector(Mat(p, rows))
+            expected = ref_permutation_vector(rows)
+            assert (got if got is None else got.tolist()) == expected, rows
+
+    def test_permutation_vector_of_non_square_and_empty(self):
+        assert permutation_vector(Mat(2, np.zeros((0, 2), dtype=np.int64))) is None
+        assert permutation_vector(Mat(2, [[1, 0]])) is None
+        assert permutation_vector(Mat(2, np.zeros((0, 0), dtype=np.int64))).tolist() == []
 
     def test_permutation_matrix_inverts_permutation_vector(self):
         rng = np.random.default_rng(3)

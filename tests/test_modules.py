@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from permres import config
 from permres.groups import Group, all_subgroups
-from permres.linalg import Mat, rank
+from permres.linalg import Mat, permutation_matrix, permutation_vector, rank
 from permres.modules import (
     Module,
     ModuleMap,
@@ -37,8 +38,15 @@ from permres.modules import (
 )
 from permres.permutation import PermutationDescriptor, realize
 from permres.random_modules import random_module
+from permres.resolution import good_resolution, trivial_resolution
 
-from helpers import ref_mat_pow, ref_matmul, ref_rank
+from helpers import (
+    ref_check_module_map,
+    ref_mat_pow,
+    ref_matmul,
+    ref_rank,
+    ref_validate_module,
+)
 
 C2 = Group(2, 1)
 C3 = Group(3, 1)
@@ -90,6 +98,122 @@ class TestConstructors:
         assert validate_module(bad) == "commutativity i=1 j=2"
         order4 = Module(C3, (Mat(3, [[0, 2], [1, 0]]),))
         assert validate_module(order4) == "generator 1: order does not divide p"
+
+
+def _checked(mod):
+    """validate_module(mod), asserted equal to the dense reference."""
+    got = validate_module(mod)
+    assert got == ref_validate_module([a.a.tolist() for a in mod.action], mod.group.p)
+    return got
+
+
+def _checked_map(f):
+    """check_module_map(f), asserted equal to the dense reference."""
+    got = check_module_map(f)
+    expected = ref_check_module_map(
+        f.matrix.a.tolist(),
+        [a.a.tolist() for a in f.source.action],
+        [a.a.tolist() for a in f.target.action],
+        f.source.group.p,
+    )
+    assert got == expected
+    return got
+
+
+def _with_generator(mod, i, a):
+    return Module(mod.group, mod.action[:i] + (a,) + mod.action[i + 1 :])
+
+
+def _realized(group):
+    return realize(PermutationDescriptor(group, all_subgroups(group))).module
+
+
+class TestPermutationCertificate:
+    """The certificate on permutation vectors agrees with dense products."""
+
+    @pytest.mark.parametrize("group", [C2, C3, V4, C3_2], ids=str)
+    def test_realized_modules_and_corruptions(self, group):
+        mod = _realized(group)
+        p, d = group.p, mod.dim
+        assert all(permutation_vector(a) is not None for a in mod.action)
+        assert _checked(mod) is None
+        swap = permutation_matrix(p, [1, 0] + list(range(2, d)))
+        # an elementary unitriangular matrix and its inverse
+        u, u_inv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+        u[0, 1], u_inv[0, 1] = 1, p - 1
+        u, u_inv = Mat(p, u), Mat(p, u_inv)
+        for i in range(group.rank):
+            # a transposition has order 2
+            bad = _checked(_with_generator(mod, i, swap))
+            if p == 3:
+                assert bad == f"generator {i + 1}: order does not divide p"
+            # conjugating a generator by a transposition keeps its order
+            _checked(_with_generator(mod, i, swap @ mod.action[i] @ swap))
+            # conjugating by u leaves the permutation basis
+            mixed = _with_generator(mod, i, u @ mod.action[i] @ u_inv)
+            assert permutation_vector(mixed.action[i]) is None
+            _checked(mixed)
+        if group.rank == 2:
+            seen = set()
+            for k in range(1, d):
+                t = permutation_matrix(p, [k] + list(range(1, k)) + [0] + list(range(k + 1, d)))
+                seen.add(_checked(_with_generator(mod, 1, t @ mod.action[1] @ t)))
+            assert "commutativity i=1 j=2" in seen
+
+    def test_non_commuting_three_cycles(self):
+        mod = Module(C3_2, (permutation_matrix(3, [1, 2, 0, 3]), permutation_matrix(3, [0, 2, 3, 1])))
+        assert _checked(mod) == "commutativity i=1 j=2"
+        assert _checked(Module(C3_2, (mod.action[0], mod.action[0]))) is None
+
+    def test_permutation_beside_a_unipotent_generator(self):
+        unipotent = Mat(2, [[1, 1], [0, 1]])
+        swap = permutation_matrix(2, [1, 0])
+        assert _checked(Module(V4, (swap, unipotent))) == "commutativity i=1 j=2"
+        assert _checked(Module(V4, (Mat.identity(2, 2), unipotent))) is None
+        assert _checked(Module(V4, (unipotent, Mat.identity(2, 2)))) is None
+
+    def test_large_prime_rank_one(self):
+        p = 2**31 - 1  # the largest prime field supported
+        saved = config.order_cap()
+        config.set_caps(order_cap=p)
+        try:
+            group = Group(p, 1)
+            assert _checked(Module(group, (Mat.identity(p, 3),))) is None
+            for sigma in ([1, 0, 2], [1, 2, 0]):
+                mod = Module(group, (permutation_matrix(p, sigma),))
+                assert _checked(mod) == "generator 1: order does not divide p"
+            # dense: a unipotent Jordan block has order p, a diagonal one p - 1
+            assert _checked(Module(group, (Mat(p, [[1, 1], [0, 1]]),))) is None
+            diag = Module(group, (Mat(p, [[2, 0], [0, 1]]),))
+            assert _checked(diag) == "generator 1: order does not divide p"
+        finally:
+            config.set_caps(order_cap=saved)
+
+    @pytest.mark.parametrize("p, r, m", [(2, 2, 3), (3, 2, 2), (2, 1, 3), (3, 1, 2)])
+    def test_maps_with_one_wrong_entry(self, p, r, m):
+        c = trivial_resolution(Group(p, r), m).complex
+        rng = np.random.default_rng(p * 100 + r * 10 + m)
+        failures = 0
+        for j in range(c.top + 1):
+            f = c.boundary(j)
+            assert _checked_map(f) is None
+            a = f.matrix.a.copy()
+            if not a.size:
+                continue
+            x, y = rng.integers(a.shape[0]), rng.integers(a.shape[1])
+            a[x, y] = (a[x, y] + 1) % p
+            bad = ModuleMap(f.source, f.target, Mat(p, a))
+            failures += _checked_map(bad) is not None
+        assert failures > 0
+
+    def test_maps_onto_a_non_permutation_target(self):
+        res = good_resolution(random_module(3, 2, 3, seed=4), 1)
+        aug = res.complex.aug
+        assert permutation_vector(aug.target.action[0]) is None
+        assert _checked_map(aug) is None
+        a = aug.matrix.a.copy()
+        a[0, 0] = (a[0, 0] + 1) % 3
+        assert _checked_map(ModuleMap(aug.source, aug.target, Mat(3, a))) is not None
 
 
 class TestRadicalQuotientKernel:

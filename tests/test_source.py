@@ -1,11 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "permres"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "permres"
 # the package root re-exports names it never uses itself
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -22,3 +25,23 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, f"unused imports: {unused}"
+
+
+def test_third_party_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = {
+            re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+            for req in tomllib.load(fh)["project"]["dependencies"]
+        }
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "permres"}
+    assert third_party, "expected numpy at least"
+    missing = sorted(third_party - declared)
+    assert not missing, f"imported but not in pyproject.toml dependencies: {missing}"
