@@ -298,7 +298,7 @@ def save_obj(path, obj) -> None:
 
 
 def load_obj(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

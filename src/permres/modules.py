@@ -4,12 +4,17 @@ A module is given by r commuting generator matrices of multiplicative
 order dividing p, acting on column coordinate vectors.  Everything here
 is pure and immutable; all submodule bases follow fixed canonical
 conventions (rref rows, nullspace columns) so outputs are deterministic.
+``Module.perms`` is the one scan that decides which generators are
+permutation matrices, and ``coset_module`` the one builder of the
+permutation module k(E/H); ``free_module`` and ``permutation.realize``
+are block sums of it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,15 +59,19 @@ class Module:
     def dim(self) -> int:
         return self.action[0].rows
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Module)
-            and self.group == other.group
-            and self.action == other.action
-        )
+    @cached_property
+    def perms(self) -> tuple[np.ndarray | None, ...]:
+        """Each generator's permutation vector, or None if it is not a permutation matrix.
 
-    def __hash__(self):
-        return hash((self.group, self.action))
+        The one scan of the generators, derived from the write-protected
+        matrices themselves and never set by a producer, so whatever
+        reads it still proves the permutation structure it relies on.
+        """
+        perms = tuple(permutation_vector(a) for a in self.action)
+        for sigma in perms:
+            if sigma is not None:
+                sigma.setflags(write=False)
+        return perms
 
     def __repr__(self):
         return f"Module(p={self.group.p}, rank={self.group.rank}, dim={self.dim})"
@@ -123,8 +132,8 @@ def check_module_map(f: ModuleMap):
     (target), f A_s = A_t f reads f[tau[y], sigma[x]] = f[y, x]: one
     gather, no product.
     """
-    for i, (a_s, a_t) in enumerate(zip(f.source.action, f.target.action)):
-        sigma, tau = permutation_vector(a_s), permutation_vector(a_t)
+    pairs = zip(f.source.action, f.target.action, f.source.perms, f.target.perms)
+    for i, (a_s, a_t, sigma, tau) in enumerate(pairs):
         if sigma is not None and tau is not None:
             ok = np.array_equal(f.matrix.a[np.ix_(tau, sigma)], f.matrix.a)
         else:
@@ -166,17 +175,24 @@ def trivial_module(group: Group, n: int) -> Module:
     return Module(group, tuple(eye for _ in range(group.rank)))
 
 
+def coset_module(h: Subgroup) -> Module:
+    """k(E/H) on ``h.coset_reps()``: generator i permutes them by ``h.translations()[i]``.
+
+    The one builder of permutation matrices; every realized permutation
+    module is a ``block_sum`` of these.
+    """
+    p = h.group.p
+    return Module(h.group, tuple(permutation_matrix(p, sigma) for sigma in h.translations()))
+
+
 def free_module(group: Group, t: int) -> Module:
     """(kE)^t with the group-element basis in lexicographic order per block."""
     if t < 0:
         raise ValueError("rank must be >= 0")
     config.check_dim_cap(t * group.order)
-    shift = group.order * np.arange(t)[:, None]
-    gens = tuple(
-        permutation_matrix(group.p, (sigma + shift).reshape(-1))
-        for sigma in Subgroup.trivial(group).translations()
-    )
-    return Module(group, gens)
+    # kE itself may exceed the cap when t = 0
+    blocks = [coset_module(Subgroup.trivial(group))] if t else []
+    return block_sum(group, blocks * t)
 
 
 def _perm_pow(sigma: np.ndarray, e: int) -> np.ndarray:
@@ -199,20 +215,15 @@ def validate_module(m: Module):
     generator, and every pair involving one, by dense products.
     """
     d, p = m.dim, m.group.p
-    perms = []
-    for i, a in enumerate(m.action):
-        if a.shape != (d, d):
-            return f"generator {i + 1}: not a {d} x {d} matrix"
-        sigma = permutation_vector(a)
+    for i, (a, sigma) in enumerate(zip(m.action, m.perms)):
         if sigma is None:
             ok = mat_pow(a, p).is_identity()
         else:
             ok = np.array_equal(_perm_pow(sigma, p), np.arange(d))
         if not ok:
             return f"generator {i + 1}: order does not divide p"
-        perms.append(sigma)
     for i, j in itertools.combinations(range(m.group.rank), 2):
-        si, sj = perms[i], perms[j]
+        si, sj = m.perms[i], m.perms[j]
         if si is not None and sj is not None:
             ok = np.array_equal(si[sj], sj[si])
         else:

@@ -1,16 +1,14 @@
 """Symbolic permutation modules (+)_j k(E/H_j) and their realizations.
 
 A descriptor is a multiset of subgroups, one per transitive summand; its
-realization is the explicit module on the coset bases, with generator
-e_i permuting cosets by translation: each block is the
-``permutation_matrix`` of an index vector from ``Subgroup.translations``.
-``recognize`` goes the other way: it certifies that every generator
-matrix is a permutation matrix in the given basis, moves every basis
-point through E in one ``element_images`` walk (which follows
-``Group.steps``), and reads off the orbit stabilizers.  Coset
-representatives are the vectors supported on the non-pivot coordinates
-of the subgroup's rref basis, in lexicographic order, so realizations
-are bit-reproducible.
+realization is the ``block_sum`` of one ``modules.coset_module`` per
+part, the one builder of k(E/H).  ``recognize`` goes the other way: it
+reads the module's ``perms`` (the one scan that proves every generator a
+permutation matrix in the given basis), moves every basis point through
+E in one ``element_images`` walk (which follows ``Group.steps``), and
+reads off the orbit stabilizers.  Coset representatives are the vectors
+supported on the non-pivot coordinates of the subgroup's rref basis, in
+lexicographic order, so realizations are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,15 +20,8 @@ import numpy as np
 from . import config
 from .errors import GroupMismatch, InternalError, NotPermutationBasis
 from .groups import Group, Subgroup
-from .linalg import (
-    Mat,
-    block_diag,
-    first_non_permutation_row,
-    permutation_matrix,
-    permutation_vector,
-    solve,
-)
-from .modules import Module, fixed_points, orbit_columns
+from .linalg import Mat, first_non_permutation_row, solve
+from .modules import Module, block_sum, coset_module, fixed_points, orbit_columns
 
 
 @dataclass(frozen=True)
@@ -107,15 +98,11 @@ def realize(d: PermutationDescriptor) -> TaggedModule:
     """The explicit module on the concatenated coset bases of the parts."""
     group = d.group
     config.check_dim_cap(d.dim)
-    moves = [part.translations() for part in d.parts]
-    action = tuple(
-        block_diag(group.p, [permutation_matrix(group.p, t[i]) for t in moves])
-        for i in range(group.rank)
-    )
+    module = block_sum(group, [coset_module(part) for part in d.parts])
     basis_map = tuple(
         (part_idx, rep) for part_idx, part in enumerate(d.parts) for rep in part.coset_reps()
     )
-    return TaggedModule(module=Module(group, action), parts=d.parts, basis_map=basis_map)
+    return TaggedModule(module=module, parts=d.parts, basis_map=basis_map)
 
 
 def recognize(m: Module) -> TaggedModule:
@@ -128,12 +115,10 @@ def recognize(m: Module) -> TaggedModule:
     read off the column of its smallest point.
     """
     group = m.group
-    perms = []
-    for i, a in enumerate(m.action):
-        sigma = permutation_vector(a)
+    perms = m.perms
+    for i, sigma in enumerate(perms):
         if sigma is None:
-            raise NotPermutationBasis(i, first_non_permutation_row(a))
-        perms.append(sigma)
+            raise NotPermutationBasis(i, first_non_permutation_row(m.action[i]))
     d = m.dim
     elements = np.array(group.elements(), dtype=np.int64).reshape(group.order, group.rank)
     # images[idx(v), k]: where the group element v sends basis point k
@@ -226,6 +211,7 @@ def tensor_descriptor(
     """Multiset union of the Mackey rule over all part pairs."""
     if d1.group != d2.group:
         raise GroupMismatch("tensor of descriptors over different groups")
+    config.check_dim_cap(d1.dim * d2.dim)
     parts = []
     for h in d1.parts:
         for k in d2.parts:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from permres import modules
 from permres.complexes import (
     ChainMap,
     Complex,
     certify_resolution,
     check_chain_map,
+    check_tags,
     cone,
     direct_sum_complexes,
     euler_characteristic,
@@ -21,6 +23,7 @@ from permres.complexes import (
 )
 from permres.errors import LiftFailed, NotPermutationBasis, NotResolution
 from permres.groups import Group
+from permres.io import complex_from_obj, complex_to_obj
 from permres.linalg import Mat, inverse
 from permres.modules import (
     Module,
@@ -33,7 +36,13 @@ from permres.modules import (
     zero_map,
 )
 from permres.permutation import recognize
-from permres.resolution import _free_term, periodic_complex, trivial_resolution
+from permres.random_modules import random_module
+from permres.resolution import (
+    _free_term,
+    good_resolution,
+    periodic_complex,
+    trivial_resolution,
+)
 
 C2 = Group(2, 1)
 C3 = Group(3, 1)
@@ -312,3 +321,22 @@ class TestCertify:
         names = {chk.name: chk.ok for chk in report.checks}
         assert not names["exact"]
         assert not names["euler-characteristic"]
+
+    @pytest.mark.parametrize("permutation_target", [True, False])
+    def test_each_module_is_scanned_once(self, monkeypatch, permutation_target):
+        if permutation_target:
+            res = trivial_resolution(V4, 3)
+        else:
+            res = good_resolution(random_module(3, 2, 3, seed=4), 1)
+        # a file round trip gives modules whose perms are not cached yet
+        loaded = complex_from_obj(complex_to_obj(res.complex, m=res.m))
+        c = loaded.complex
+        calls = []
+        scan = modules.permutation_vector
+        monkeypatch.setattr(modules, "permutation_vector", lambda a: calls.append(a) or scan(a))
+        # the checks of permres verify: the certificate, then the stored tags
+        assert certify_resolution(c, m=res.m).ok
+        assert check_tags(c.terms, loaded.tags) is None
+        maps = c.diffs + (c.aug,)
+        ends = c.terms + tuple(f.source for f in maps) + tuple(f.target for f in maps)
+        assert len(calls) == c.group.rank * len({id(x) for x in ends})

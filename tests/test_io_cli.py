@@ -92,6 +92,21 @@ class TestRoundTrips:
             detect_kind({"something": 1})
 
 
+def _cli_process(*argv, **env_overrides):
+    """Run ``python -m permres.cli`` in a fresh process (30 s timeout)."""
+    env = dict(os.environ, **env_overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "permres.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
@@ -329,36 +344,38 @@ class TestCli:
         # cap must refuse both before primality is tested or p^rank is formed
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"p": p, "rank": rank, "dim": 0, "generators": [[]]}))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", "permres.cli", "info", str(path)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
+        done = _cli_process("info", str(path))
         assert done.returncode == 3
         assert "exceeds cap" in done.stderr and "Traceback" not in done.stderr
+
+    def test_tensor_past_the_dim_cap_exits_3_fast(self, tmp_path):
+        # 3,000 free parts over C2 square to 9,000,000 parts of dim 36,000,000;
+        # the cap must refuse the product before the pair loop builds them
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"p": 2, "rank": 1, "parts": [[]] * 3000}))
+        out = tmp_path / "t.json"
+        done = _cli_process("tensor", str(path), str(path), "--out", str(out))
+        assert done.returncode == 3
+        assert "exceeds cap" in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_utf8_file_is_read_under_an_ascii_locale(self, tmp_path):
+        # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+        path = tmp_path / "m.json"
+        obj = {"p": 2, "rank": 1, "dim": 1, "generators": [[1]], "note": "café"}
+        path.write_bytes(json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+        done = _cli_process(
+            "info", str(path), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"
+        )
+        assert done.returncode == 0, done.stderr
+        assert "validate: ok" in done.stdout
 
     def test_prime_past_2_31_is_refused_under_a_raised_cap(self, tmp_path):
         # 2^61 - 1 is prime and passes a raised order cap; the field bound
         # refuses it before any trial division
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"p": 2**61 - 1, "rank": 1, "dim": 0, "generators": [[]]}))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", "permres.cli", "--cap-order", str(10**19), "info", str(path)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
+        done = _cli_process("--cap-order", str(10**19), "info", str(path))
         assert done.returncode == 2
         assert "2^31" in done.stderr and "Traceback" not in done.stderr
 

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from permres import config
-from permres.groups import Group, all_subgroups
+from permres.groups import Group, Subgroup, all_subgroups
 from permres.linalg import Mat, permutation_matrix, permutation_vector, rank
 from permres.modules import (
     Module,
@@ -12,6 +13,7 @@ from permres.modules import (
     check_module_map,
     check_ses,
     composition_series,
+    coset_module,
     direct_sum,
     dual,
     fixed_points,
@@ -84,6 +86,53 @@ class TestConstructors:
         stacked = np.hstack([(f.action[0].a - eye) % 2, (f.action[1].a - eye) % 2])
         assert ref_rank(stacked.tolist(), 2) == 3
         assert radical(f)[0].dim == 3
+
+    @pytest.mark.parametrize("group", [V4, C3_2, Group(2, 3)], ids=str)
+    def test_coset_module_is_the_realized_part(self, group):
+        eye = np.eye(group.rank, dtype=np.int64)
+        for h in all_subgroups(group):
+            mod = coset_module(h)
+            assert mod == realize(PermutationDescriptor(group, (h,))).module
+            # oracle: e_i sends the coset of reps[x] to the coset of reps[y]
+            reps = np.array(h.coset_reps(), dtype=np.int64)
+            for a, e_i in zip(mod.action, eye):
+                moved = [[h.contains((x + e_i - y) % group.p) for x in reps] for y in reps]
+                assert a.a.tolist() == np.array(moved, dtype=np.int64).tolist()
+
+    @pytest.mark.parametrize("group", [C2, V4, C3_2], ids=str)
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    def test_free_module_is_the_realized_free_descriptor(self, group, t):
+        trivial = (Subgroup.trivial(group),) * t
+        assert free_module(group, t) == realize(PermutationDescriptor(group, trivial)).module
+
+    def test_free_module_of_rank_0_under_a_cap_below_the_order(self):
+        saved = config.dim_cap()
+        config.set_caps(dim_cap=V4.order - 1)
+        try:
+            assert free_module(V4, 0).dim == 0
+        finally:
+            config.set_caps(dim_cap=saved)
+
+    def test_equal_modules_compare_and_hash_equal(self):
+        a, b = free_module(V4, 2), free_module(V4, 2)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a.perms  # cached on one side only
+        assert a == b and hash(a) == hash(b)
+        assert b.perms
+        assert a == b and hash(a) == hash(b)
+        assert a != free_module(V4, 1) and a != trivial_module(V4, 8)
+
+    def test_perms_are_derived_and_read_only(self):
+        m = Module(V4, (permutation_matrix(2, [1, 0]), Mat(2, [[1, 1], [0, 1]])))
+        assert m.perms[0].tolist() == [1, 0] and m.perms[1] is None
+        assert m.perms is m.perms
+        with pytest.raises(ValueError):
+            m.perms[0][0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.perms = (None, None)
+        with pytest.raises(TypeError):
+            Module(V4, m.action, perms=m.perms)
 
     def test_validate(self):
         assert validate_module(free_module(V4, 2)) is None

@@ -45,3 +45,37 @@ def test_third_party_imports_are_declared():
     assert third_party, "expected numpy at least"
     missing = sorted(third_party - declared)
     assert not missing, f"imported but not in pyproject.toml dependencies: {missing}"
+
+
+def _references(tree, name):
+    """The qualified name of the def or class around each use of ``name``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.append(scope)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+# One scan decides which generators are permutations, and one builder makes
+# the matrices of k(E/H); a second copy of either must fail here.
+@pytest.mark.parametrize(
+    "name, owner",
+    [("permutation_vector", "Module.perms"), ("permutation_matrix", "coset_module")],
+)
+def test_one_use_site(name, owner):
+    sites = [
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _references(ast.parse(path.read_text()), name)
+    ]
+    assert sites == [("modules.py", owner)]
