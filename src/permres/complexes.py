@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import LiftFailed, NotResolution, PermresError
 from .groups import Group
-from .linalg import Mat, block_diag, solve
+from .linalg import Mat, block_diag, kron, solve
 from .modules import (
     Module,
     ModuleMap,
@@ -144,14 +144,24 @@ def check_chain_map(f: ChainMap):
 # basic invariants
 
 
-def homology_dims(c: Complex) -> list[int]:
-    """dim H_j = dim C_j - rank d_j - rank d_(j+1), exact arithmetic."""
+def _homology(c: Complex) -> list[int]:
+    """[dim coker eps, dim H_0, ..., dim H_top], each rank taken once.
+
+    Without an augmentation d_0 = 0 and the cokernel entry is 0.
+    """
     ranks = [0] * (c.top + 2)  # ranks[j] = rank d_j, with d_0 = augmentation
+    coker = 0
     if c.aug is not None:
         ranks[0] = c.aug.rank()
+        coker = c.aug.target.dim - ranks[0]
     for j in range(1, c.top + 1):
         ranks[j] = c.diffs[j - 1].rank()
-    return [c.terms[j].dim - ranks[j] - ranks[j + 1] for j in range(c.top + 1)]
+    return [coker] + [c.terms[j].dim - ranks[j] - ranks[j + 1] for j in range(c.top + 1)]
+
+
+def homology_dims(c: Complex) -> list[int]:
+    """dim H_j = dim C_j - rank d_j - rank d_(j+1), exact arithmetic."""
+    return _homology(c)[1:]
 
 
 def euler_characteristic(c: Complex) -> int:
@@ -160,11 +170,7 @@ def euler_characteristic(c: Complex) -> int:
 
 def is_resolution(c: Complex) -> bool:
     """Augmented, exact everywhere, and the augmentation is surjective."""
-    if c.aug is None:
-        return False
-    if c.aug.rank() != c.aug.target.dim:
-        return False
-    return all(h == 0 for h in homology_dims(c))
+    return c.aug is not None and not any(_homology(c))
 
 
 def free_up_to(c: Complex, m: int) -> bool:
@@ -310,12 +316,12 @@ def tensor_complexes(a: Complex, b: Complex) -> Complex:
             w = term_modules[i, j].dim
             if i >= 1:
                 ro = offsets[i - 1, j]
-                block = np.kron(a.diffs[i - 1].matrix.a, np.eye(b.terms[j].dim, dtype=np.int64))
+                block = kron(a.diffs[i - 1].matrix.a, np.eye(b.terms[j].dim, dtype=np.int64))
                 mat[ro : ro + block.shape[0], co : co + w] = block
             if j >= 1:
                 ro = offsets[i, j - 1]
                 sign = 1 if i % 2 == 0 else p - 1
-                block = sign * np.kron(np.eye(a.terms[i].dim, dtype=np.int64), b.diffs[j - 1].matrix.a)
+                block = sign * kron(np.eye(a.terms[i].dim, dtype=np.int64), b.diffs[j - 1].matrix.a)
                 mat[ro : ro + block.shape[0], co : co + w] = block % p
         diffs.append(ModuleMap(terms[n], terms[n - 1], Mat(p, mat)))
     aug = None
@@ -494,8 +500,7 @@ def certify_resolution(
     add("d-squared", bad is None, bad or "")
 
     if c.aug is not None:
-        defect = c.aug.target.dim - c.aug.rank()
-        hdims = homology_dims(c)
+        defect, *hdims = _homology(c)
         bad = None
         if defect:
             bad = f"augmentation rank deficit {defect}"

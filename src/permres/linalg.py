@@ -156,7 +156,7 @@ class Mat:
 
     def kron(self, other):
         self._check_field(other)
-        return Mat._wrap(self.p, np.kron(self.a, other.a) % self.p)
+        return Mat._wrap(self.p, kron(self.a, other.a) % self.p)
 
     def is_zero(self):
         return not self.a.any()
@@ -172,6 +172,12 @@ class Mat:
 
     def col(self, j):
         return Mat._wrap(self.p, self.a[:, j : j + 1].copy())
+
+
+def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two 2d arrays, unreduced: one broadcast product, one reshape."""
+    rows, cols = x.shape[0] * y.shape[0], x.shape[1] * y.shape[1]
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(rows, cols)
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -245,8 +251,8 @@ def _echelon(a: np.ndarray, p: int, reduced: bool):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        nz = a[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         i = r + int(nz[0])
         if i != r:
@@ -255,13 +261,14 @@ def _echelon(a: np.ndarray, p: int, reduced: bool):
         if v != 1:
             a[r, c:] = a[r, c:] * pow(v, -1, p) % p
         if reduced:
-            col = a[:, c].copy()
-            col[r] = 0
-            targets = np.flatnonzero(col)
+            # zero the pivot for the scan, so that row r is not its own target
+            a[r, c] = 0
+            targets = a[:, c].nonzero()[0]
+            a[r, c] = 1
         else:
-            targets = r + 1 + np.flatnonzero(a[r + 1 :, c])
+            targets = r + 1 + a[r + 1 :, c].nonzero()[0]
         if targets.size:
-            a[targets, c:] = (a[targets, c:] - np.outer(a[targets, c], a[r, c:])) % p
+            a[targets, c:] = (a[targets, c:] - a[targets, c, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -291,24 +298,25 @@ def complement_projection(rows: Mat):
     rho v depends only on v modulo the span and vanishes on the pivots.
     """
     red, s, pivots = rref(rows)
-    d = rows.cols
-    sel = np.zeros((s, d), dtype=np.int64)
-    for k, c in enumerate(pivots):
-        sel[k, c] = 1
-    rho = (np.eye(d, dtype=np.int64) - red.a[:s].T @ sel) % rows.p
-    return Mat._wrap(rows.p, rho), pivots
+    rho = np.eye(rows.cols, dtype=np.int64)
+    rho[:, list(pivots)] -= red.a[:s].T
+    return Mat._wrap(rows.p, rho % rows.p), pivots
+
+
+def non_pivots(n: int, pivots) -> np.ndarray:
+    """The columns 0..n-1 that are not pivots, in increasing order."""
+    keep = np.ones(n, dtype=bool)
+    keep[list(pivots)] = False
+    return keep.nonzero()[0]
 
 
 def nullspace(m: Mat) -> Mat:
     """Columns form the canonical basis of {x : m x = 0}."""
     a, pivots = _echelon(m.a, m.p, reduced=True)
-    n = m.cols
-    free = [c for c in range(n) if c not in set(pivots)]
-    out = np.zeros((n, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        out[f, j] = 1
-        for i, c in enumerate(pivots):
-            out[c, j] = (-a[i, f]) % m.p
+    free = non_pivots(m.cols, pivots)
+    out = np.zeros((m.cols, free.size), dtype=np.int64)
+    out[free, np.arange(free.size)] = 1
+    out[pivots] = -a[: len(pivots), free] % m.p
     return Mat._wrap(m.p, out)
 
 
@@ -320,12 +328,11 @@ def solve(a: Mat, b: Mat):
         raise DimensionMismatch(f"solve: {a.rows} rows vs {b.rows} rows")
     n = a.cols
     red, pivots = _echelon(np.hstack([a.a, b.a]), a.p, reduced=True)
-    for c in pivots:
-        if c >= n:
-            return None
+    # pivots increase, so a pivot among the columns of b is the last one
+    if pivots and pivots[-1] >= n:
+        return None
     x = np.zeros((n, b.cols), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c, :] = red[i, n:]
+    x[pivots] = red[: len(pivots), n:]
     return Mat._wrap(a.p, x)
 
 

@@ -19,14 +19,17 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from .errors import GroupMismatch, InternalError, NotInjective
+from .errors import GroupMismatch, InternalError, NotInjective, NotPermutationBasis
 from .groups import Group, Subgroup
 from .linalg import (
     Mat,
     block_diag,
     complement_projection,
+    first_non_permutation_row,
     hstack,
+    kron,
     mat_pow,
+    non_pivots,
     nullspace,
     permutation_matrix,
     permutation_vector,
@@ -72,6 +75,17 @@ class Module:
             if sigma is not None:
                 sigma.setflags(write=False)
         return perms
+
+    def require_perms(self) -> tuple[np.ndarray, ...]:
+        """``perms`` when every generator is a permutation matrix.
+
+        Otherwise raises NotPermutationBasis, naming the first generator
+        that is not one and its first offending row.
+        """
+        for i, sigma in enumerate(self.perms):
+            if sigma is None:
+                raise NotPermutationBasis(i, first_non_permutation_row(self.action[i]))
+        return self.perms
 
     def __repr__(self):
         return f"Module(p={self.group.p}, rank={self.group.rank}, dim={self.dim})"
@@ -301,7 +315,7 @@ def quotient(m: Module, incl: ModuleMap):
     if not incl.is_injective():
         raise NotInjective("quotient by a non-injective map")
     rho, pivots = complement_projection(incl.matrix.T)
-    free = [c for c in range(m.dim) if c not in set(pivots)]
+    free = non_pivots(m.dim, pivots)
     proj_mat = rho.take_rows(free)
     section = Mat.identity(m.group.p, m.dim).take_cols(free)
     action = tuple(proj_mat @ a @ section for a in m.action)
@@ -387,7 +401,7 @@ def hom_space(m: Module, n: Module) -> list[Mat]:
     eye_n = np.eye(dn, dtype=np.int64)
     system = vstack(
         [
-            Mat(m.group.p, np.kron(eye_n, a_m.a.T) - np.kron(a_n.a, eye_m))
+            Mat(m.group.p, kron(eye_n, a_m.a.T) - kron(a_n.a, eye_m))
             for a_m, a_n in zip(m.action, n.action)
         ]
     )
@@ -398,18 +412,27 @@ def hom_space(m: Module, n: Module) -> list[Mat]:
 def fixed_points(m: Module, h: Subgroup) -> Mat:
     """Columns form the canonical basis of M^H = {v : A^x v = v for x in H}.
 
-    H is generated by its rref basis rows x, so M^H is the nullspace of
-    the stacked A^x - I (no rows, so all of M, for the trivial H).
+    M must be a permutation module in its basis (else NotPermutationBasis).
+    Then M^H is spanned by the 0/1 indicators of the H-orbits on the
+    basis.  These are the columns of the canonical nullspace of the
+    stacked A^x - I, whose free variable on each orbit is its largest
+    point, so the columns come ordered by the largest point of their orbit.
     """
-    p = m.group.p
-    eye = Mat.identity(p, m.dim)
-    moves = [Mat.zeros(p, 0, m.dim)]
+    perms = m.require_perms()
+    d, p = m.dim, m.group.p
+    # top[x]: the largest point that x reaches by the generators of H seen so far
+    top = np.arange(d)
     for row in h.basis.a:
-        move = eye
-        for a, e in zip(m.action, row):
-            move = move @ mat_pow(a, int(e))
-        moves.append(move - eye)
-    return nullspace(vstack(moves))
+        g = np.arange(d)
+        for sigma, e in zip(perms, row):
+            g = _perm_pow(sigma, int(e))[g]
+        for _ in range(p - 1):
+            top = np.maximum(top, top[g])
+    # number the orbits by their largest points, in increasing order
+    largest, orbit = np.unique(top, return_inverse=True)
+    f = np.zeros((d, largest.size), dtype=np.int64)
+    f[np.arange(d), orbit] = 1
+    return Mat._wrap(p, f)
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +485,25 @@ class Cover:
     free_rank: int
 
 
-def orbit_columns(group: Group, action: tuple[Mat, ...], vecs: np.ndarray) -> np.ndarray:
-    """The orbits of the columns of the d x t array ``vecs``, as d x (t |E|).
+def orbit_columns(m: Module, vecs: np.ndarray) -> np.ndarray:
+    """The orbits of the columns of the d x t array ``vecs`` under m, as d x (t |E|).
 
     Block j (columns j |E| to (j + 1) |E| - 1) holds A^x v_j for all x in
-    E, in lexicographic element order.
+    E, in lexicographic element order.  When every generator is a
+    permutation sigma, A e_x = e_sigma[x] makes each step a move of rows,
+    (A w)[sigma[x]] = w[x]; otherwise each step is a dense product.
     """
+    group = m.group
     p = group.p
     walk = np.empty((group.order,) + vecs.shape, dtype=np.int64)
     walk[0] = vecs % p
-    for idx, (i, prev) in enumerate(group.steps(), start=1):
-        walk[idx] = action[i].a @ walk[prev] % p
+    perms = m.perms
+    if all(sigma is not None for sigma in perms):
+        for idx, (i, prev) in enumerate(group.steps(), start=1):
+            walk[idx, perms[i]] = walk[prev]
+    else:
+        for idx, (i, prev) in enumerate(group.steps(), start=1):
+            walk[idx] = m.action[i].a @ walk[prev] % p
     d, t = vecs.shape
     return walk.transpose(1, 2, 0).reshape(d, t * group.order)
 
@@ -491,7 +522,7 @@ def projective_cover(m: Module) -> Cover:
     f = free_module(m.group, t)
     gens = np.zeros((m.dim, t), dtype=np.int64)
     gens[free_coords, np.arange(t)] = 1
-    matrix = Mat(m.group.p, orbit_columns(m.group, m.action, gens))
+    matrix = Mat(m.group.p, orbit_columns(m, gens))
     pi = ModuleMap(f, m, matrix)
     if rank(matrix) != m.dim:
         raise InternalError("projective cover is not surjective")
@@ -557,7 +588,7 @@ def strip_free(m: Module) -> StripResult:
         j = int(np.flatnonzero(nu.a.any(axis=0))[0])
         v = np.zeros((current.dim, 1), dtype=np.int64)
         v[j, 0] = 1
-        phi = Mat(p, orbit_columns(group, current.action, v))
+        phi = Mat(p, orbit_columns(current, v))
         rho = _retraction(current, phi)
         embeddings.append(incl_current @ phi)
         k, kappa = kernel(ModuleMap(current, free_one, rho))
@@ -582,7 +613,7 @@ def _retraction(current: Module, phi: Mat) -> Mat:
     lam = solve(phi.T, Mat.identity(group.p, group.order).col(0))
     if lam is None:
         raise InternalError("no retraction onto a free cyclic submodule")
-    return Mat(group.p, orbit_columns(group, dual(current).action, lam.a).T)
+    return Mat(group.p, orbit_columns(dual(current), lam.a).T)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import GroupMismatch, InternalError, NotPermutationBasis
+from .errors import GroupMismatch, InternalError
 from .groups import Group, Subgroup
-from .linalg import Mat, first_non_permutation_row, solve
+from .linalg import Mat, solve
 from .modules import Module, block_sum, coset_module, fixed_points, orbit_columns
 
 
@@ -115,10 +115,7 @@ def recognize(m: Module) -> TaggedModule:
     read off the column of its smallest point.
     """
     group = m.group
-    perms = m.perms
-    for i, sigma in enumerate(perms):
-        if sigma is None:
-            raise NotPermutationBasis(i, first_non_permutation_row(m.action[i]))
+    perms = m.require_perms()
     d = m.dim
     elements = np.array(group.elements(), dtype=np.int64).reshape(group.order, group.rank)
     # images[idx(v), k]: where the group element v sends basis point k
@@ -164,10 +161,14 @@ def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):
     ``rhs`` must itself be a module map out of the tagged module.  A map
     out of k(E/H) is fixed by the image x of the coset H, and x only has
     to be H-fixed (Frobenius reciprocity), so x = F y for F the basis of
-    target^H and d F y = rhs at the coset H.  One ``solve`` serves all the
-    parts over the same H; a trivial H has F = I and solves d itself.  One
-    ``orbit_columns`` walk then sends the basis vector of each coset
-    rep + H to A^rep x.  Returns None when no such X exists.
+    target^H and d F y = rhs at the coset H.  A non-trivial H only occurs
+    in a permutation target, where F is the 0/1 indicator of the H-orbits
+    on its basis (``fixed_points``) and d F sums the columns of d over
+    each orbit.  One ``solve`` serves all the parts over the same H; a
+    trivial H has F = I and solves d itself.  One ``orbit_columns`` walk
+    then sends the basis vector of each coset rep + H to A^rep x; on a
+    permutation target each step of that walk only moves rows.  Returns
+    None when no such X exists.
     """
     group = target.group
     p, order = group.p, group.order
@@ -193,7 +194,7 @@ def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):
         if y is None:
             return None
         x[:, js] = y.a
-    return Mat(p, orbit_columns(group, target.action, x)[:, parts * order + idx])
+    return Mat(p, orbit_columns(target, x)[:, parts * order + idx])
 
 
 def mackey_tensor(h: Subgroup, k: Subgroup) -> PermutationDescriptor:

@@ -28,7 +28,10 @@ those.  ``trim`` certifies its own output.  Every lift out of a
 permutation module (the cover map in ``rotate``, each degree of the
 chain-map lift) is one ``solve_equivariant``: it solves for the image of
 each coset H among the H-fixed points of the target and extends them with
-one batched ``orbit_columns`` walk.
+one batched ``orbit_columns`` walk.  Wherever H is non-trivial the target
+is a term of a permutation resolution, so its H-fixed points are the
+indicators of the H-orbits on its basis and the walk moves rows instead
+of multiplying matrices.
 """
 
 from __future__ import annotations

@@ -4,11 +4,14 @@ Everything here is pure Python on lists of ints, deliberately sharing no
 code with the library, so that expected values in the tests come from a
 second implementation path.  The ``ref_*`` routines at the end keep the
 library's earlier, slower implementations: the stdlib JSON encoding, the
-per-entry matrix parse and the dense module certificate.
+per-entry matrix parse, the dense module certificate, the dense fixed
+points and the elimination loop with one numpy call per step.
 """
 
 import itertools
 import json
+
+import numpy as np
 
 
 def ref_reduce(rows, p):
@@ -126,3 +129,60 @@ def ref_check_module_map(f, source_action, target_action, p):
         if ref_matmul(f, a_s, p) != ref_matmul(a_t, f, p):
             return f"map does not intertwine generator {i + 1}"
     return None
+
+
+def ref_fixed_points(action, h_rows, p):
+    """The canonical nullspace basis of the stacked A^x - I over the rows x of h_rows.
+
+    ``action`` holds the dense generator matrices (lists of rows); the
+    result is d x (number of free variables), one column per free
+    variable in increasing order, that variable set to 1.
+    """
+    d = len(action[0]) if action else 0
+    eye = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    system = []
+    for x in h_rows:
+        move = eye
+        for a, e in zip(action, x):
+            move = ref_matmul(move, ref_mat_pow(a, int(e), p), p)
+        system.extend([(move[i][j] - eye[i][j]) % p for j in range(d)] for i in range(d))
+    red, rank = ref_reduce(system, p)
+    pivots = [next(c for c in range(d) if row[c]) for row in red[:rank]]
+    free = [c for c in range(d) if c not in pivots]
+    out = [[0] * len(free) for _ in range(d)]
+    for j, f in enumerate(free):
+        out[f][j] = 1
+        for i, c in enumerate(pivots):
+            out[c][j] = (-red[i][f]) % p
+    return out
+
+
+def ref_echelon(a, p, reduced):
+    """Gaussian elimination as the library did it with one numpy call per step."""
+    a = np.array(a, dtype=np.int64)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], c:] = a[[i, r], c:]
+        v = int(a[r, c])
+        if v != 1:
+            a[r, c:] = a[r, c:] * pow(v, -1, p) % p
+        if reduced:
+            col = a[:, c].copy()
+            col[r] = 0
+            targets = np.flatnonzero(col)
+        else:
+            targets = r + 1 + np.flatnonzero(a[r + 1 :, c])
+        if targets.size:
+            a[targets, c:] = (a[targets, c:] - np.outer(a[targets, c], a[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots

@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permres.errors import DimensionMismatch
 from permres.linalg import (
     Mat,
+    _echelon,
     block_diag,
     check_prime,
     hstack,
@@ -22,7 +23,7 @@ from permres.linalg import (
     vstack,
 )
 
-from helpers import ref_mat_pow, ref_permutation_vector, ref_rank, ref_reduce
+from helpers import ref_echelon, ref_mat_pow, ref_permutation_vector, ref_rank, ref_reduce
 
 PRIMES = [2, 3, 5]
 
@@ -50,6 +51,36 @@ def matrices(min_side=0, max_side=6):
         return Mat(p, data)
 
     return build()
+
+
+@st.composite
+def sparse_arrays(draw):
+    """(p, array) with p up to 2^31 - 1 and entries biased to 0, 1 and p - 1."""
+    p = draw(st.sampled_from([2, 3, 5, 2**31 - 1]))
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    entries = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return p, np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+class TestEchelon:
+    """The elimination against its earlier one-numpy-call-per-step form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_arrays(), st.booleans())
+    @example((2, np.zeros((0, 4), dtype=np.int64)), True)
+    @example((3, np.zeros((4, 0), dtype=np.int64)), False)
+    @example((5, np.zeros((3, 3), dtype=np.int64)), True)
+    @example((2**31 - 1, np.array([[0], [2**31 - 2], [5]], dtype=np.int64)), True)
+    @example((2**31 - 1, np.array([[0], [2**31 - 2], [5]], dtype=np.int64)), False)
+    def test_identical_to_reference(self, pa, reduced):
+        p, a = pa
+        got, pivots = _echelon(a, p, reduced)
+        want, want_pivots = ref_echelon(a, p, reduced)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert pivots == want_pivots
 
 
 class TestRref:
@@ -209,6 +240,18 @@ class TestMatOps:
         assert vstack([b, b]).shape == (2, 2)
         d = block_diag(2, [a, Mat(2, [[0, 1], [1, 0]])])
         assert d == Mat(2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+    @pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+    def test_kron_matches_numpy(self, p):
+        rng = np.random.default_rng(p % 97)
+        for _ in range(20):
+            x = random_mat(rng, p, *rng.integers(0, 5, size=2))
+            y = random_mat(rng, p, *rng.integers(0, 5, size=2))
+            got = x.kron(y)
+            # residues stay below 2^31, so the int64 products are exact
+            want = np.kron(x.a, y.a) % p
+            assert got.shape == want.shape
+            assert np.array_equal(got.a, want)
 
     def test_immutability(self):
         m = Mat.identity(2, 2)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from permres import config
+from permres.errors import NotPermutationBasis
 from permres.groups import Group, Subgroup, all_subgroups
 from permres.linalg import Mat, permutation_matrix, permutation_vector, rank
 from permres.modules import (
     Module,
     ModuleMap,
+    block_sum,
     check_module_map,
     check_ses,
     composition_series,
@@ -44,6 +46,7 @@ from permres.resolution import good_resolution, trivial_resolution
 
 from helpers import (
     ref_check_module_map,
+    ref_fixed_points,
     ref_mat_pow,
     ref_matmul,
     ref_rank,
@@ -438,23 +441,36 @@ def ref_orbit(mod, v):
     return [list(row) for row in zip(*cols)]
 
 
+def shuffled(mod, seed):
+    """mod in a shuffled basis: still a permutation module when mod is one."""
+    perm = np.random.default_rng(seed).permutation(mod.dim)
+    p = mod.group.p
+    return Module(mod.group, tuple(Mat(p, a.a[np.ix_(perm, perm)]) for a in mod.action))
+
+
 class TestOrbitColumns:
     @pytest.mark.parametrize("t", [0, 1, 3])
     @pytest.mark.parametrize(
-        "make",
+        "make, gathers",
         [
-            lambda g: free_module(g, 1),
-            lambda g: realize(PermutationDescriptor(g, all_subgroups(g)[1:4])).module,
-            lambda g: random_module(g.p, g.rank, 4, seed=13),
+            (lambda g: free_module(g, 1), True),
+            (lambda g: realize(PermutationDescriptor(g, all_subgroups(g)[1:4])).module, True),
+            # a permutation module over V4, not over C3_2: either walk
+            (lambda g: random_module(g.p, g.rank, 4, seed=13), None),
+            (lambda g: shuffled(realize(PermutationDescriptor(g, all_subgroups(g)[:3])).module, 5), True),
+            (lambda g: omega(trivial_module(g, 1))[0], False),
         ],
-        ids=["free", "coset", "random"],
+        ids=["free", "coset", "random", "shuffled", "omega"],
     )
-    def test_batched_orbits_match_reference(self, make, t):
+    def test_batched_orbits_match_reference(self, make, gathers, t):
         for group in (V4, C3_2):
             mod = make(group)
+            # the gathers run exactly when every generator is a permutation
+            if gathers is not None:
+                assert all(sigma is not None for sigma in mod.perms) == gathers
             rng = np.random.default_rng(t)
             vecs = rng.integers(0, group.p, size=(mod.dim, t))
-            got = orbit_columns(group, mod.action, vecs)
+            got = orbit_columns(mod, vecs)
             assert got.shape == (mod.dim, t * group.order)
             for j in range(t):
                 block = got[:, j * group.order : (j + 1) * group.order]
@@ -489,6 +505,28 @@ class TestFixedPoints:
                     for a, e in zip(mod.action, x):
                         move = ref_matmul(move, ref_mat_pow(a.a.tolist(), int(e), p), p)
                     assert ref_matmul(move, f.a.tolist(), p) == f.a.tolist()
+
+    @pytest.mark.parametrize("group", [V4, C3_2, Group(2, 3)], ids=["2-2", "3-2", "2-3"])
+    def test_orbit_indicators_match_dense_oracle(self, group):
+        subs = all_subgroups(group)
+        for i, k in enumerate(subs):
+            # one transitive module, and a two-part sum in a shuffled basis
+            mods = [
+                coset_module(k),
+                shuffled(block_sum(group, (coset_module(k), coset_module(subs[-1 - i]))), i),
+            ]
+            for mod in mods:
+                action = [a.a.tolist() for a in mod.action]
+                for h in subs:
+                    want = ref_fixed_points(action, h.basis.a.tolist(), group.p)
+                    assert fixed_points(mod, h).a.tolist() == want
+
+    def test_refuses_a_non_permutation_module(self):
+        mod = omega(trivial_module(V4, 1))[0]
+        assert any(sigma is None for sigma in mod.perms)
+        h = all_subgroups(mod.group)[1]
+        with pytest.raises(NotPermutationBasis):
+            fixed_points(mod, h)
 
 
 class TestFreeRankAndStrip:

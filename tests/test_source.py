@@ -79,3 +79,17 @@ def test_one_use_site(name, owner):
         for scope in _references(ast.parse(path.read_text()), name)
     ]
     assert sites == [("modules.py", owner)]
+
+
+# One broadcast helper, ``linalg.kron``, forms every Kronecker product.
+def test_no_numpy_kron():
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "kron":
+                if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                    sites.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                if any(a.name == "kron" for a in node.names):
+                    sites.append((path.name, node.lineno))
+    assert not sites, f"np.kron outside linalg.kron: {sites}"
