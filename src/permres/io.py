@@ -11,8 +11,16 @@ writes they equal ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.
 The two differ on exponent-form floats, NaN and text from U+007F up;
 orjson refuses integers of 2^64 or more, nesting deeper than 254 and lone
 surrogates.  A complex file holding such values still loads, but its
-informational digest reads MISMATCH.  Files are read with the stdlib
-``json`` module, which peaks lower in memory than orjson.
+informational digest reads MISMATCH.
+
+``load_obj`` is the one reader.  It reads a file as the stdlib ``json``
+module does, except that each non-empty list written canonically (1 to 10
+ASCII digits per entry, no leading zero, bare commas) becomes a writable
+int64 array, read in one vectorised step with no Python int in between.
+Any other list, and every other value, is what ``json.load`` gives; so
+is the whole of a file that is not ASCII, holds a backslash or nests
+deeper than 32, which the stdlib's own C scanner reads.  Arrays encode
+to the bytes of the lists they replace.
 
 * module file:     {p, rank, dim, generators: [flat row-major, one per generator]}
 * descriptor file: {p, rank, parts: [[subgroup basis rows], ...]}
@@ -29,6 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.decoder import JSONArray
+from json.scanner import py_make_scanner
 
 import numpy as np
 import orjson
@@ -46,7 +56,7 @@ class FormatError(PermresError):
 
 
 def _canonical_bytes(obj) -> bytes:
-    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS) + b"\n"
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY) + b"\n"
 
 
 def canonical_dumps(obj) -> str:
@@ -63,27 +73,48 @@ def _object(obj, what) -> dict:
     return obj
 
 
+def _is_list(obj) -> bool:
+    """A JSON list: a Python list, or a leaf array from ``load_obj``."""
+    return isinstance(obj, (list, np.ndarray))
+
+
+def _plain(obj):
+    """A leaf array as the list of Python ints it was read from; else obj."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def _truthy(obj) -> bool:
+    """JSON truth; a leaf array is a non-empty list, so true."""
+    return isinstance(obj, np.ndarray) or bool(obj)
+
+
 def _list(obj, what) -> list:
-    if not isinstance(obj, list):
+    if not _is_list(obj):
         raise FormatError(f"{what}: expected a JSON list")
     return obj
 
 
 def _unflat(p, rows, cols, entries, what) -> Mat:
     """The rows x cols matrix of a flat entry list, checked as a whole; only a
-    list that fails is walked entry by entry, to name its first bad entry."""
+    list that fails is walked entry by entry, to name its first bad entry.
+
+    A leaf array is taken over, not copied: it turns read-only in the
+    object too, since the matrix it now backs is immutable."""
     if len(_list(entries, what)) != rows * cols:
         raise FormatError(f"{what}: expected {rows * cols} entries, got {len(entries)}")
     a = None
-    if set(map(type, entries)) <= {int}:
+    if isinstance(entries, np.ndarray):
+        a = entries
+    elif set(map(type, entries)) <= {int}:
         try:
             a = np.array(entries, dtype=np.int64)
         except OverflowError:
             pass
     if a is None or (a.size and (a.min() < 0 or a.max() >= p)):
-        for x in entries:
+        for x in _plain(entries):
             if type(x) is not int or not 0 <= x < p:
                 raise FormatError(f"{what}: entry {x!r} is not a reduced residue mod {p}")
+    a.setflags(write=False)
     return Mat._wrap(p, a.reshape(rows, cols))
 
 
@@ -102,7 +133,7 @@ def module_to_obj(m: Module) -> dict:
 def _module_body_from_obj(group: Group, obj, what="module") -> Module:
     dim = _object(obj, what).get("dim")
     gens = obj.get("generators")
-    if type(dim) is not int or dim < 0 or not isinstance(gens, list):
+    if type(dim) is not int or dim < 0 or not _is_list(gens):
         raise FormatError(f"{what}: need integer dim and a generator list")
     if len(gens) != group.rank:
         raise FormatError(f"{what}: expected {group.rank} generators, got {len(gens)}")
@@ -138,14 +169,24 @@ def _part_rows(sub: Subgroup) -> list[list[int]]:
 
 
 def _part_from_rows(group: Group, rows, what) -> Subgroup:
-    for row in _list(rows, f"{what} basis rows"):
-        if not isinstance(row, list) or len(row) != group.rank:
-            raise FormatError(f"{what}: basis rows must have length {group.rank}")
-        for x in row:
-            if type(x) is not int or not 0 <= x < group.p:
-                raise FormatError(f"{what}: entry {x!r} out of range")
-    sub = Subgroup(group, rows)
-    if _part_rows(sub) != rows:
+    """The subgroup of a part's rref basis rows.  Leaf-array rows of the right
+    length are range-checked as one array; any other rows are walked entry
+    by entry, to name the first bad row or entry."""
+    rows = _list(rows, f"{what} basis rows")
+    n, rank = len(rows), group.rank
+    a = None
+    if all(isinstance(row, np.ndarray) and len(row) == rank for row in rows):
+        a = np.array(rows, dtype=np.int64).reshape(n, rank)
+    if a is None or (a.size and (a.min() < 0 or a.max() >= group.p)):
+        for row in map(_plain, rows):
+            if not isinstance(row, list) or len(row) != rank:
+                raise FormatError(f"{what}: basis rows must have length {rank}")
+            for x in row:
+                if type(x) is not int or not 0 <= x < group.p:
+                    raise FormatError(f"{what}: entry {x!r} out of range")
+        a = np.array(rows, dtype=np.int64).reshape(n, rank)
+    sub = Subgroup(group, a)
+    if not np.array_equal(sub.basis.a, a):
         raise FormatError(f"{what}: basis rows are not in reduced row echelon form")
     return sub
 
@@ -207,11 +248,11 @@ def _payload_digest(payload: dict) -> str:
 def complex_from_obj(obj) -> LoadedComplex:
     group = _group_from_obj(obj)
     raw_terms = obj.get("terms")
-    if not isinstance(raw_terms, list) or not raw_terms:
+    if not _is_list(raw_terms) or not len(raw_terms):
         raise FormatError("complex: need a non-empty term list")
     terms = []
     for j, body in enumerate(raw_terms):
-        if isinstance(body, dict) and body.get("realize"):
+        if isinstance(body, dict) and _truthy(body.get("realize")):
             parts = tuple(
                 _part_from_rows(group, rows, f"term {j} part")
                 for rows in _list(body.get("parts", []), f"term {j} parts")
@@ -220,7 +261,7 @@ def complex_from_obj(obj) -> LoadedComplex:
         else:
             terms.append(_module_body_from_obj(group, body, f"term {j}"))
     raw_diffs = obj.get("differentials")
-    if not isinstance(raw_diffs, list) or len(raw_diffs) != len(terms) - 1:
+    if not _is_list(raw_diffs) or len(raw_diffs) != len(terms) - 1:
         raise FormatError("complex: need one differential per adjacent term pair")
     diffs = tuple(
         ModuleMap(
@@ -249,7 +290,7 @@ def complex_from_obj(obj) -> LoadedComplex:
     tags = None
     if obj.get("tags") is not None:
         raw_tags = obj["tags"]
-        if not isinstance(raw_tags, list) or len(raw_tags) != len(terms):
+        if not _is_list(raw_tags) or len(raw_tags) != len(terms):
             raise FormatError("complex: tags must align with terms")
         tags = tuple(
             PermutationDescriptor(
@@ -261,7 +302,8 @@ def complex_from_obj(obj) -> LoadedComplex:
             )
             for j, tag_parts in enumerate(raw_tags)
         )
-    meta = _object(obj.get("meta") or {}, "meta")
+    meta = obj.get("meta")
+    meta = _object(meta if _truthy(meta) else {}, "meta")
     m = meta.get("m")
     if m is not None and (type(m) is not int or m < 0):
         raise FormatError("meta.m must be a non-negative integer or null")
@@ -273,7 +315,7 @@ def complex_from_obj(obj) -> LoadedComplex:
         complex=Complex(tuple(terms), diffs, aug),
         tags=tags,
         m=m,
-        digest=meta.get("digest"),
+        digest=_plain(meta.get("digest")),
         digest_expected=expected,
     )
 
@@ -297,11 +339,97 @@ def save_obj(path, obj) -> None:
         fh.write(_canonical_bytes(obj))
 
 
+# The scanner below recurses through two or three Python frames per level
+# where the stdlib's C scanner takes one; up to this depth both read alike.
+_MAX_DEPTH = 32
+_STEP = np.zeros(256, dtype=np.int64)
+_STEP[[ord("["), ord("{")]] = 1
+_STEP[[ord("]"), ord("}")]] = -1
+
+
+def _leaves(text: str) -> dict[int, np.ndarray] | None:
+    """The candidate leaf lists of ``text``: the offset just past each '['
+    whose next bracket or quote is a ']' further on -> the bytes between.
+
+    None when the C scanner must read the whole text: non-ASCII (offsets
+    would differ), a backslash (quotes would not pair up) or a nesting
+    deeper than ``_MAX_DEPTH``.  Quote parity finds the strings, and so
+    the depth, on any prefix that is valid JSON; a candidate inside a
+    string is never asked for."""
+    if not text.isascii() or "\\" in text:
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    mark = buf == ord('"')
+    for c in b"[]{}":
+        mark |= buf == c
+    at = np.flatnonzero(mark)
+    kind = buf[at]
+    outside = np.cumsum(kind == ord('"')) % 2 == 0
+    if at.size and np.cumsum(_STEP[kind] * outside).max() > _MAX_DEPTH:
+        return None
+    leaf = np.flatnonzero(
+        (kind[:-1] == ord("[")) & (kind[1:] == ord("]")) & (np.diff(at) > 1)
+    )
+    starts, ends = (at[leaf] + 1).tolist(), at[leaf + 1].tolist()
+    return {a: buf[a:b] for a, b in zip(starts, ends)}
+
+
+def _leaf_array(seg: np.ndarray) -> np.ndarray | None:
+    """The entries of a leaf list's bytes as a new int64 array, or None
+    unless each entry is 1 to 10 digits without a leading zero and the
+    entries are split by bare commas.  The grammar is checked before any
+    entry is converted, so nothing can overflow."""
+    digits = seg - ord("0")  # uint8: every byte below '0' wraps round
+    if seg.size % 2 and (seg[1::2] == ord(",")).all() and (digits[::2] <= 9).all():
+        return digits[::2].astype(np.int64)  # one digit per entry
+    cuts = np.flatnonzero(digits > 9)
+    if (seg[cuts] != ord(",")).any():
+        return None
+    ends = np.append(cuts, seg.size)
+    lens = np.diff(ends, prepend=-1) - 1
+    if lens.min() < 1 or lens.max() > 10:
+        return None
+    if ((seg[ends - lens] == ord("0")) & (lens > 1)).any():
+        return None
+    values = digits[ends - 1].astype(np.int64)
+    for k in range(1, int(lens.max())):
+        values += np.where(lens > k, digits[ends - 1 - k], 0).astype(np.int64) * 10**k
+    return values
+
+
+class _LeafDecoder(json.JSONDecoder):
+    """The stdlib decoder, reading each canonical list of ``leaves`` as an
+    int64 array; every other list falls back to ``JSONArray`` in the same
+    parse.  With no leaves it keeps the stdlib's C scanner."""
+
+    def __init__(self, leaves: dict[int, np.ndarray] | None):
+        super().__init__()
+        if leaves is None:
+            return
+
+        def parse_array(s_and_end, scan_once):
+            start = s_and_end[1]
+            seg = leaves.pop(start, None)
+            values = None if seg is None else _leaf_array(seg)
+            if values is None:
+                return JSONArray(s_and_end, scan_once)
+            return values, start + seg.size + 1
+
+        self.parse_array = parse_array
+        self.scan_once = py_make_scanner(self)
+
+
 def load_obj(path):
     with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise FormatError("invalid JSON: nested too deeply") from exc
+        text = fh.read()
+    leaves = _leaves(text)
+    try:
+        return json.loads(text, cls=_LeafDecoder, leaves=leaves)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply") from exc
+    finally:
+        # the scanner's closures form a cycle; unused views must not wait for gc
+        if leaves is not None:
+            leaves.clear()

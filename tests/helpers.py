@@ -3,8 +3,8 @@
 Everything here is pure Python on lists of ints, deliberately sharing no
 code with the library, so that expected values in the tests come from a
 second implementation path.  The ``ref_*`` routines at the end keep the
-library's earlier, slower implementations: the stdlib JSON encoding, the
-per-entry matrix parse, the dense module certificate, the dense fixed
+library's earlier, slower implementations: the stdlib JSON reader and
+encoding, the per-entry matrix parse, the dense module certificate, the dense fixed
 points and the elimination loop with one numpy call per step.
 """
 
@@ -76,6 +76,22 @@ def ref_permutation_vector(a):
     if any(sum(row) != 1 for row in a) or any(sum(col) != 1 for col in zip(*a)):
         return None
     return [[a[y][x] for y in range(n)].index(1) for x in range(n)]
+
+
+class RefFormatError(ValueError):
+    """The format error of ``ref_load_obj``, with the library's text."""
+
+
+def ref_load_obj(path):
+    """A file read as the library read it with ``json.load``, before any list
+    became an array."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RefFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise RefFormatError("invalid JSON: nested too deeply") from exc
 
 
 def ref_canonical_dumps(obj) -> str:

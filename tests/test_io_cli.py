@@ -1,16 +1,25 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import weakref
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ref_canonical_dumps, ref_unflat_error
+from helpers import ref_canonical_dumps, ref_load_obj, ref_unflat_error
+from permres import cli
 from permres.cli import main
+from permres.errors import PermresError
 from permres.groups import Group, Subgroup, all_subgroups
 from permres.io import (
     FormatError,
@@ -20,6 +29,7 @@ from permres.io import (
     descriptor_from_obj,
     descriptor_to_obj,
     detect_kind,
+    load_obj,
     module_from_obj,
     module_to_obj,
     save_obj,
@@ -409,13 +419,21 @@ def verify_workload_objects():
 
 
 def assert_stdlib_bytes(obj):
-    """canonical_dumps and, for a complex, its stored digest match the stdlib encoder."""
+    """canonical_dumps and, for a complex, its stored digest match the stdlib
+    encoder; the file written from obj reads back to its own bytes."""
     text = canonical_dumps(obj)
     assert text == ref_canonical_dumps(obj)
     if "meta" in obj:
         payload = {k: v for k, v in obj.items() if k != "meta"}
         expected = hashlib.sha256(ref_canonical_dumps(payload).encode()).hexdigest()
         assert obj["meta"]["digest"] == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obj.json"
+        save_obj(path, obj)
+        loaded = load_obj(path)
+        assert canonical_dumps(loaded).encode() == path.read_bytes()
+        if "meta" in obj:
+            assert complex_from_obj(loaded).digest_expected == obj["meta"]["digest"]
 
 
 json_values = st.recursive(
@@ -573,3 +591,207 @@ class TestHostileJson:
         assert main([verb, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: differential 1: entry ") and "Traceback" not in err
+
+
+def plain(value):
+    """value with each leaf array of ``load_obj`` back as a list, checking
+    that every array is a writable, non-empty, one-dimensional int64 array."""
+    if isinstance(value, np.ndarray):
+        assert value.dtype == np.int64 and value.ndim == 1 and value.size
+        assert value.flags.writeable
+        return value.tolist()
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except (PermresError, ValueError) as exc:
+        # FormatError and the reference reader's error compare by text alone
+        return "error", str(exc)
+
+
+def _from_obj(obj):
+    kind = detect_kind(obj)
+    reader = {"module": module_from_obj, "descriptor": descriptor_from_obj}
+    return reader.get(kind, complex_from_obj)(obj)
+
+
+def _cli_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_reads_like_json_load(path):
+    """load_obj gives what json.load gives, with lists for arrays, or the same
+    error; so do the file's module, descriptor or complex and the CLI."""
+    got, want = _outcome(load_obj, path), _outcome(ref_load_obj, path)
+    assert (got[0], plain(got[1])) == want
+    if got[0] == "value" and isinstance(want[1], dict):
+        assert _outcome(_from_obj, got[1]) == _outcome(_from_obj, want[1])
+    for verb in ("info", "verify"):
+        fast = _cli_outcome([verb, str(path)])
+        with mock.patch.object(cli, "load_obj", ref_load_obj):
+            assert fast == _cli_outcome([verb, str(path)])
+
+
+def _tagged_complex_text():
+    c = good_resolution(trivial_module(Group(3, 1), 1), 1).complex
+    return canonical_dumps(complex_to_obj(c, m=1))
+
+
+def _complex_with(token, *where):
+    """The canonical text of a small tagged complex with ``token`` written at
+    the key path ``where``."""
+    obj = json.loads(_tagged_complex_text())
+    node = obj
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = "@@"
+    return canonical_dumps(obj).replace('"@@"', token)
+
+
+# hostile lists: each must read as the stdlib reads it
+HOSTILE_LISTS = [
+    "[01]", "[1,,2]", "[,1]", "[1,]", "[ 1, 2 ]", "[1 ,2]", "[12345678901]",
+    "[9999999999]", f"[{2**63}]", f"[{2**64}]", "[-1]", "[true]", "[1.0]",
+    "[1e0]", "[1,-0]", "[]", "[[]]", "[0]", "[2,1,0]", "[1" + ",1" * 30 + "]",
+    "[" + "7" * 5000 + "]",
+]
+HOSTILE_PLACES = [
+    ("differentials", 0),
+    ("terms", 1, "generators", 0),
+    ("augmentation", "matrix"),
+    ("tags", 1, 0),
+    ("tags", 1),
+    ("meta", "m"),
+    ("meta", "digest"),
+    ("terms", 0, "realize"),
+    ("terms",),
+]
+HOSTILE_FILES = {
+    "string-key": '{"a[1,2]b":[1,2],"c":"[3,4]"}',
+    # U+0661 is a digit to the Python scanner's regex, not to the C scanner
+    "non-ascii": '{"note":"caf\u00e9","x":[1,2],"y":[1\u0661]}',
+    "backslash": '{"a":"\\\\\\"[1,2]","b":[1,2]}',
+    "bom": '\ufeff{"a":[1,2]}',
+    "crlf": '{"a":\r\n[1,2],\r\n"b":[3,}',
+    "error-after-leaf": '{"a":[1,2],"b":[1,2}',
+    "nested-32": "[" * 31 + "[1,2]" + "]" * 31,
+    "nested-33": "[" * 32 + "[1,2]" + "]" * 32,
+    # the C scanner reads about 990 levels, a Python one a third of that
+    "nested-400": "[" * 399 + "[1,2]" + "]" * 399,
+    "escaped-quote-then-nested-400": '["\\"",' + "[" * 400 + "]" * 400 + "]",
+    "nested-100000": "[" * 100000 + "]" * 100000,
+    "unterminated": "[1,2",
+    "empty-module": '{"dim":0,"generators":[[]],"p":2,"rank":1}',
+    "module": canonical_dumps(module_to_obj(random_module(5, 2, 3, seed=4))),
+    "descriptor": canonical_dumps(
+        descriptor_to_obj(PermutationDescriptor(Group(2, 2), all_subgroups(Group(2, 2))))
+    ),
+    "descriptor-bad-row": '{"p":2,"parts":[[[1,0],[0,1]],[[1,1,0]],[[0,1]]],"rank":2}',
+    "descriptor-not-rref": '{"p":3,"parts":[[[1,2]],[[2,1]]],"rank":2}',
+}
+
+# the bytes a mutation may write: JSON syntax, digits and a few strays
+MUTATION_CHARS = '0123456789,[]{}":-.e tn\\é\r\n'
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    """One file path that each hypothesis example overwrites."""
+    return tmp_path_factory.mktemp("reader") / "h.json"
+
+
+class TestReader:
+    """``load_obj`` against the stdlib ``json.load`` reader it replaced."""
+
+    @pytest.mark.parametrize("token", HOSTILE_LISTS, ids=lambda t: t[:24])
+    @pytest.mark.parametrize("where", HOSTILE_PLACES, ids=lambda w: "-".join(map(str, w)))
+    def test_hostile_lists_in_a_complex(self, tmp_path, token, where):
+        path = tmp_path / "c.json"
+        path.write_text(_complex_with(token, *where))
+        assert_reads_like_json_load(path)
+
+    @pytest.mark.parametrize("text", HOSTILE_FILES.values(), ids=HOSTILE_FILES.keys())
+    def test_hostile_files(self, tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_reads_like_json_load(path)
+
+    def test_canonical_lists_are_arrays(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(_tagged_complex_text())
+        obj = load_obj(path)
+        assert isinstance(obj["differentials"][0], np.ndarray)
+        assert isinstance(obj["terms"][0]["generators"][0], np.ndarray)
+        assert obj["tags"][0] == [[]]
+
+    @given(
+        json_values,
+        st.booleans(),
+        st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.sampled_from(MUTATION_CHARS)),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_json_values(self, scratch_file, value, compact, edits):
+        text = json.dumps(value, separators=(",", ":") if compact else None)
+        scratch_file.write_text(_mutate(text, edits), encoding="utf-8", newline="")
+        assert_reads_like_json_load(scratch_file)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.sampled_from(MUTATION_CHARS)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_complex_files(self, scratch_file, edits):
+        text = _mutate(_tagged_complex_text(), edits)
+        scratch_file.write_text(text, encoding="utf-8", newline="")
+        assert_reads_like_json_load(scratch_file)
+
+    def test_edit_in_place_then_save(self, verify_workload_objects, tmp_path):
+        # the benchmark's negative control: change one differential entry
+        path, out = tmp_path / "c.json", tmp_path / "edited.json"
+        save_obj(path, verify_workload_objects[1])
+        obj, ref = load_obj(path), ref_load_obj(path)
+        for o in (obj, ref):
+            diff = o["differentials"][7]
+            diff[11] = (diff[11] + 1) % o["p"]
+        save_obj(out, obj)
+        assert out.read_text() == ref_canonical_dumps(ref)
+        assert main(["verify", str(out)]) == 2
+
+    def test_arrays_are_freed_at_once(self, tmp_path):
+        # a reference cycle through the scanner would keep them until gc runs
+        path = tmp_path / "c.json"
+        path.write_text(_tagged_complex_text())
+        gc.disable()
+        try:
+            obj = load_obj(path)
+            refs = [weakref.ref(obj["differentials"][0]), weakref.ref(obj["terms"][1]["generators"][0])]
+            del obj
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
+def _mutate(text, edits):
+    """text with each (position, 0 insert | 1 replace | 2 delete, char) applied."""
+    for pos, op, char in edits:
+        pos %= len(text) + 1
+        if op == 0:
+            text = text[:pos] + char + text[pos:]
+        elif pos < len(text):
+            text = text[:pos] + (char if op == 1 else "") + text[pos + 1 :]
+    return text

@@ -93,3 +93,19 @@ def test_no_numpy_kron():
                 if any(a.name == "kron" for a in node.names):
                     sites.append((path.name, node.lineno))
     assert not sites, f"np.kron outside linalg.kron: {sites}"
+
+
+# One reader, ``io.load_obj``, parses every file; a second JSON parse in the
+# library, or a second call in ``io.py``, must fail here.
+def test_one_json_reader():
+    readers = {("json", "load"), ("json", "loads"), ("orjson", "loads")}
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if (node.value.id, node.attr) in readers:
+                    sites.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module in ("json", "orjson"):
+                if any((node.module, a.name) in readers for a in node.names):
+                    sites.append((path.name, node.lineno))
+    assert [name for name, _ in sites] == ["io.py"], f"JSON readers: {sites}"
