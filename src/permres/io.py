@@ -18,9 +18,12 @@ module does, except that each non-empty list written canonically (1 to 10
 ASCII digits per entry, no leading zero, bare commas) becomes a writable
 int64 array, read in one vectorised step with no Python int in between.
 Any other list, and every other value, is what ``json.load`` gives; so
-is the whole of a file that is not ASCII, holds a backslash or nests
-deeper than 32, which the stdlib's own C scanner reads.  Arrays encode
-to the bytes of the lists they replace.
+is the whole of a file that is not ASCII or nests too deep for the
+stdlib's Python scanner, which its C scanner then reads.  Arrays encode
+to the bytes of the lists they replace.  ``module_from_obj`` and
+``complex_from_obj`` take such arrays over as the matrices they build,
+without a copy, so the arrays turn read-only in the object passed in:
+edit an object before it is read, not after.
 
 * module file:     {p, rank, dim, generators: [flat row-major, one per generator]}
 * descriptor file: {p, rank, parts: [[subgroup basis rows], ...]}
@@ -339,49 +342,16 @@ def save_obj(path, obj) -> None:
         fh.write(_canonical_bytes(obj))
 
 
-# The scanner below recurses through two or three Python frames per level
-# where the stdlib's C scanner takes one; up to this depth both read alike.
-_MAX_DEPTH = 32
-_STEP = np.zeros(256, dtype=np.int64)
-_STEP[[ord("["), ord("{")]] = 1
-_STEP[[ord("]"), ord("}")]] = -1
-
-
-def _leaves(text: str) -> dict[int, np.ndarray] | None:
-    """The candidate leaf lists of ``text``: the offset just past each '['
-    whose next bracket or quote is a ']' further on -> the bytes between.
-
-    None when the C scanner must read the whole text: non-ASCII (offsets
-    would differ), a backslash (quotes would not pair up) or a nesting
-    deeper than ``_MAX_DEPTH``.  Quote parity finds the strings, and so
-    the depth, on any prefix that is valid JSON; a candidate inside a
-    string is never asked for."""
-    if not text.isascii() or "\\" in text:
-        return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    mark = buf == ord('"')
-    for c in b"[]{}":
-        mark |= buf == c
-    at = np.flatnonzero(mark)
-    kind = buf[at]
-    outside = np.cumsum(kind == ord('"')) % 2 == 0
-    if at.size and np.cumsum(_STEP[kind] * outside).max() > _MAX_DEPTH:
-        return None
-    leaf = np.flatnonzero(
-        (kind[:-1] == ord("[")) & (kind[1:] == ord("]")) & (np.diff(at) > 1)
-    )
-    starts, ends = (at[leaf] + 1).tolist(), at[leaf + 1].tolist()
-    return {a: buf[a:b] for a, b in zip(starts, ends)}
-
-
 def _leaf_array(seg: np.ndarray) -> np.ndarray | None:
     """The entries of a leaf list's bytes as a new int64 array, or None
     unless each entry is 1 to 10 digits without a leading zero and the
     entries are split by bare commas.  The grammar is checked before any
     entry is converted, so nothing can overflow."""
     digits = seg - ord("0")  # uint8: every byte below '0' wraps round
+    # one digit per entry, as in every matrix mod p < 11: a quarter of the
+    # time of the general pass below
     if seg.size % 2 and (seg[1::2] == ord(",")).all() and (digits[::2] <= 9).all():
-        return digits[::2].astype(np.int64)  # one digit per entry
+        return digits[::2].astype(np.int64)
     cuts = np.flatnonzero(digits > 9)
     if (seg[cuts] != ord(",")).any():
         return None
@@ -397,39 +367,39 @@ def _leaf_array(seg: np.ndarray) -> np.ndarray | None:
     return values
 
 
-class _LeafDecoder(json.JSONDecoder):
-    """The stdlib decoder, reading each canonical list of ``leaves`` as an
-    int64 array; every other list falls back to ``JSONArray`` in the same
-    parse.  With no leaves it keeps the stdlib's C scanner."""
+def _parse_array(s_and_end, scan_once):
+    """``JSONArray``, but a canonical leaf list is read as an int64 array."""
+    s, start = s_and_end
+    end = s.find("]", start)
+    values = None
+    # a '[' before the first ']' starts a nested list: no leaf, and its
+    # bytes are left to that list's own parse
+    if end > start and s.find("[", start, end) < 0:
+        values = _leaf_array(np.frombuffer(s[start:end].encode("ascii"), dtype=np.uint8))
+    if values is None:
+        return JSONArray(s_and_end, scan_once)
+    return values, end + 1
 
-    def __init__(self, leaves: dict[int, np.ndarray] | None):
-        super().__init__()
-        if leaves is None:
-            return
 
-        def parse_array(s_and_end, scan_once):
-            start = s_and_end[1]
-            seg = leaves.pop(start, None)
-            values = None if seg is None else _leaf_array(seg)
-            if values is None:
-                return JSONArray(s_and_end, scan_once)
-            return values, start + seg.size + 1
-
-        self.parse_array = parse_array
-        self.scan_once = py_make_scanner(self)
+# the stdlib decoder on its Python scanner, which calls the hook above
+_DECODER = json.JSONDecoder()
+_DECODER.parse_array = _parse_array
+_DECODER.scan_once = py_make_scanner(_DECODER)
 
 
 def load_obj(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    leaves = _leaves(text)
     try:
-        return json.loads(text, cls=_LeafDecoder, leaves=leaves)
+        # the Python scanner reads some non-ASCII digits as numbers, and
+        # nests a third as deep as the C scanner, which reads the rest
+        if text.isascii():
+            try:
+                return _DECODER.decode(text)
+            except RecursionError:
+                pass
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("invalid JSON: nested too deeply") from exc
-    finally:
-        # the scanner's closures form a cycle; unused views must not wait for gc
-        if leaves is not None:
-            leaves.clear()

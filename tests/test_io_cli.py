@@ -772,6 +772,20 @@ class TestReader:
         assert out.read_text() == ref_canonical_dumps(ref)
         assert main(["verify", str(out)]) == 2
 
+    def test_readers_take_arrays_over(self, tmp_path):
+        # the matrices share the arrays, so the arrays turn read-only
+        for name, obj, read in [
+            ("c.json", json.loads(_tagged_complex_text()), complex_from_obj),
+            ("m.json", module_to_obj(random_module(5, 2, 3, seed=4)), module_from_obj),
+        ]:
+            save_obj(tmp_path / name, obj)
+            obj = load_obj(tmp_path / name)
+            leaf = obj["differentials"][0] if "differentials" in obj else obj["generators"][0]
+            leaf[0] = leaf[0]
+            read(obj)
+            with pytest.raises(ValueError, match="read-only"):
+                leaf[0] = leaf[0]
+
     def test_arrays_are_freed_at_once(self, tmp_path):
         # a reference cycle through the scanner would keep them until gc runs
         path = tmp_path / "c.json"
