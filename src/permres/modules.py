@@ -485,6 +485,21 @@ class Cover:
     free_rank: int
 
 
+def element_images(group: Group, perms, start) -> np.ndarray:
+    """images[idx(v)] = sigma^v(start), for all v in lexicographic order.
+
+    ``start`` is a basis index or an array of them; for an array, row
+    idx(v) holds the images of every start, so column k is the walk of
+    start[k].  One pass follows ``Group.steps``.
+    """
+    start = np.asarray(start, dtype=np.int64)
+    images = np.empty((group.order,) + start.shape, dtype=np.int64)
+    images[0] = start
+    for idx, (i, prev) in enumerate(group.steps(), start=1):
+        images[idx] = perms[i][images[prev]]
+    return images
+
+
 def orbit_columns(m: Module, vecs: np.ndarray) -> np.ndarray:
     """The orbits of the columns of the d x t array ``vecs`` under m, as d x (t |E|).
 
@@ -545,7 +560,9 @@ def norm_matrix(m: Module) -> Mat:
     """The norm element sum_{g in E} g acting on M.
 
     Over F_p, 1 + x + ... + x^(p-1) = (x - 1)^(p-1), so the norm is the
-    product over the generators of (A_i - I)^(p-1): O(r log p) products.
+    product over the generators of (A_i - I)^(p-1): O(r log p) dense
+    products.  ``free_rank`` forms it only off permutation modules;
+    ``strip_free`` needs its columns.
     """
     p = m.group.p
     eye = Mat.identity(p, m.dim)
@@ -556,7 +573,20 @@ def norm_matrix(m: Module) -> Mat:
 
 
 def free_rank(m: Module) -> int:
-    """Number of free direct summands = rank of the norm element on M."""
+    """Number of free direct summands = rank of the norm element on M.
+
+    On a permutation module (every generator a permutation and the
+    relations of E holding) the norm kills k(E/H) for H nontrivial and
+    has rank 1 on kE, so the rank is the number of regular orbits: the
+    points that no nonzero element fixes, over |E|.  One
+    ``element_images`` walk finds them.  Without the relations the walk
+    need not be an action, so any other module takes the norm matrix.
+    """
+    perms = m.perms
+    if all(sigma is not None for sigma in perms) and validate_module(m) is None:
+        images = element_images(m.group, perms, np.arange(m.dim))
+        regular = (images[1:] != images[0]).all(axis=0)
+        return int(np.count_nonzero(regular)) // m.group.order
     return rank(norm_matrix(m))
 
 

@@ -5,10 +5,11 @@ realization is the ``block_sum`` of one ``modules.coset_module`` per
 part, the one builder of k(E/H).  ``recognize`` goes the other way: it
 reads the module's ``perms`` (the one scan that proves every generator a
 permutation matrix in the given basis), moves every basis point through
-E in one ``element_images`` walk (which follows ``Group.steps``), and
-reads off the orbit stabilizers.  Coset representatives are the vectors
-supported on the non-pivot coordinates of the subgroup's rref basis, in
-lexicographic order, so realizations are bit-reproducible.
+E in one ``modules.element_images`` walk (which follows ``Group.steps``),
+names each orbit by its smallest point and builds one ``Subgroup`` per
+distinct stabilizer.  Coset representatives are the vectors supported on
+the non-pivot coordinates of the subgroup's rref basis, in lexicographic
+order, so realizations are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ from . import config
 from .errors import GroupMismatch, InternalError
 from .groups import Group, Subgroup
 from .linalg import Mat, solve
-from .modules import Module, block_sum, coset_module, fixed_points, orbit_columns
+from .modules import (
+    Module,
+    block_sum,
+    coset_module,
+    element_images,
+    fixed_points,
+    orbit_columns,
+    validate_module,
+)
 
 
 @dataclass(frozen=True)
@@ -109,50 +118,46 @@ def recognize(m: Module) -> TaggedModule:
     """Certify the basis-level permutation structure and read off the tag.
 
     Raises NotPermutationBasis (with the offending generator and row) if
-    some generator matrix is not a permutation matrix.  Parts are ordered
-    by their smallest basis index; coset representatives are canonical.
-    One walk over E moves every basis point at once; each orbit is then
-    read off the column of its smallest point.
+    some generator matrix is not a permutation matrix, and InternalError
+    if the generators do not satisfy the relations of E or an orbit's size
+    is not the index of its stabilizer.  Parts are ordered by their
+    smallest basis index; coset representatives are canonical.  One walk
+    over E moves every basis point at once.  Each orbit is named by its
+    smallest point, its stabilizer is the set of elements fixing that
+    point, and one ``Subgroup`` serves every orbit with the same
+    stabilizer.
     """
     group = m.group
     perms = m.require_perms()
+    bad = validate_module(m)
+    if bad is not None:
+        raise InternalError(f"the generators do not act as E: {bad}")
     d = m.dim
     elements = np.array(group.elements(), dtype=np.int64).reshape(group.order, group.rank)
     # images[idx(v), k]: where the group element v sends basis point k
     images = element_images(group, perms, np.arange(d))
-    parts = []
-    basis_map = [None] * d
-    for start in range(d):
-        if basis_map[start] is not None:
-            continue
-        part_idx = len(parts)
-        translate = images[:, start]
-        stab = Subgroup(group, elements[translate == start])
-        # each orbit point, with the first element reaching it
-        orbit, first = np.unique(translate, return_index=True)
-        if orbit.size != stab.index:
-            raise InternalError(
-                f"orbit of index {start} has size {orbit.size}, expected {stab.index}"
-            )
-        for t, rep in zip(orbit.tolist(), stab.reduce(elements[first]).tolist()):
-            basis_map[t] = (part_idx, tuple(rep))
-        parts.append(stab)
-    return TaggedModule(module=m, parts=tuple(parts), basis_map=tuple(basis_map))
-
-
-def element_images(group: Group, perms, start) -> np.ndarray:
-    """images[idx(v)] = sigma^v(start), for all v in lexicographic order.
-
-    ``start`` is a basis index or an array of them; for an array, row
-    idx(v) holds the images of every start, so column k is the walk of
-    start[k].
-    """
-    start = np.asarray(start, dtype=np.int64)
-    images = np.empty((group.order,) + start.shape, dtype=np.int64)
-    images[0] = start
-    for idx, (i, prev) in enumerate(group.steps(), start=1):
-        images[idx] = perms[i][images[prev]]
-    return images
+    starts, part_of = np.unique(images.min(axis=0), return_inverse=True)
+    walks = images[:, starts]
+    # fixes[j, idx(v)]: v fixes the start of orbit j; equal rows, one Subgroup
+    fixes = np.ascontiguousarray((walks == starts).T)
+    keys = fixes.view(np.dtype((np.void, group.order))).ravel()
+    _, first_orbit, stab_of = np.unique(keys, return_index=True, return_inverse=True)
+    stabs = [Subgroup(group, elements[fixes[j]]) for j in first_orbit]
+    index = np.array([h.index for h in stabs], dtype=np.int64)[stab_of]
+    size = np.bincount(part_of, minlength=starts.size)
+    if not np.array_equal(size, index):
+        j = int(np.flatnonzero(size != index)[0])
+        raise InternalError(
+            f"orbit of index {starts[j]} has size {size[j]}, expected {index[j]}"
+        )
+    # The elements carrying a start to a point form a coset v + H.  Its
+    # lexicographically first element is zero on the pivots of H's rref
+    # basis (each pivot entry can be cleared without touching an earlier
+    # coordinate), so it is the canonical representative ``H.reduce(v)``.
+    reps = elements[(walks[:, part_of] == np.arange(d)).argmax(axis=0)]
+    parts = tuple(stabs[k] for k in stab_of.tolist())
+    basis_map = tuple(zip(part_of.tolist(), map(tuple, reps.tolist())))
+    return TaggedModule(module=m, parts=parts, basis_map=basis_map)
 
 
 def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):

@@ -5,7 +5,8 @@ code with the library, so that expected values in the tests come from a
 second implementation path.  The ``ref_*`` routines at the end keep the
 library's earlier, slower implementations: the stdlib JSON reader and
 encoding, the per-entry matrix parse, the dense module certificate, the dense fixed
-points and the elimination loop with one numpy call per step.
+points, the elimination loop with one numpy call per step, the per-orbit
+recognition and the dense norm rank.
 """
 
 import itertools
@@ -45,12 +46,16 @@ def ref_rank(rows, p):
 
 
 def ref_matmul(a, b, p):
-    n, k = len(a), len(b[0]) if b else 0
-    m = len(b)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(m)) % p for j in range(k)]
-        for i in range(n)
-    ]
+    """a b mod p, each row of the product summed from the rows of b that it weights."""
+    k = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * k
+        for c, b_row in zip(row, b):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, b_row)]
+        out.append([x % p for x in acc])
+    return out
 
 
 def ref_mat_pow(a, e, p):
@@ -202,3 +207,66 @@ def ref_echelon(a, p, reduced):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def ref_recognize(action, p):
+    """The tag of a permutation module, read one orbit at a time.
+
+    ``action`` holds the dense generator matrices, all permutation
+    matrices.  The orbits are visited in the order of their smallest
+    points.  Returns (parts, basis_map): each part is the rref basis (a
+    list of rows) of its orbit's stabilizer, and basis_map[k] is (part
+    index, canonical coset representative) for basis point k.  Raises
+    ValueError when an orbit's size is not the index of its stabilizer.
+    """
+    perms = [ref_permutation_vector(a) for a in action]
+    r = len(perms)
+    d = len(perms[0])
+    elements = list(itertools.product(range(p), repeat=r))
+
+    def move(v, k):
+        for sigma, e in zip(perms, v):
+            for _ in range(e):
+                k = sigma[k]
+        return k
+
+    parts = []
+    basis_map = [None] * d
+    for start in range(d):
+        if basis_map[start] is not None:
+            continue
+        translate = [move(v, start) for v in elements]
+        rows, dim = ref_reduce([v for v, t in zip(elements, translate) if t == start], p)
+        stab = rows[:dim]
+        # the first element reaching each orbit point
+        first = {}
+        for v, t in zip(elements, translate):
+            first.setdefault(t, v)
+        if len(first) != p ** (r - dim):
+            raise ValueError(f"orbit of {start} has size {len(first)}, expected {p ** (r - dim)}")
+        for t, v in first.items():
+            rep = list(v)
+            for row in stab:
+                f = rep[row.index(1)]
+                rep = [(x - f * y) % p for x, y in zip(rep, row)]
+            basis_map[t] = (len(parts), tuple(rep))
+        parts.append(stab)
+    return parts, tuple(basis_map)
+
+
+def ref_free_rank(action, p):
+    """The rank of the norm on dense generator matrices (lists of rows).
+
+    The norm is the product over the generators of I + A + ... + A^(p-1).
+    """
+    d = len(action[0]) if action else 0
+    eye = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    norm = eye
+    for a in action:
+        power = eye
+        total = [[0] * d for _ in range(d)]
+        for _ in range(p):
+            total = [[(x + y) % p for x, y in zip(t, q)] for t, q in zip(total, power)]
+            power = ref_matmul(power, a, p)
+        norm = ref_matmul(norm, total, p)
+    return ref_rank(norm, p)

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ref_canonical_dumps, ref_load_obj, ref_unflat_error
-from permres import cli
+from permres import cli, modules
 from permres.cli import main
+from permres.complexes import certify_resolution
 from permres.errors import PermresError
 from permres.groups import Group, Subgroup, all_subgroups
 from permres.io import (
@@ -416,6 +417,22 @@ def verify_workload_objects():
         complex_to_obj(trivial_resolution(Group(p, r), m).complex, m=m)
         for p, r, m in VERIFY_INPUTS
     ]
+
+
+def test_certificate_of_a_read_complex_forms_no_norm(monkeypatch, tmp_path):
+    # a complex read from a file is untagged; free-up-to counts regular orbits
+    path = tmp_path / "c.json"
+    save_obj(path, complex_to_obj(trivial_resolution(Group(3, 2), 4).complex, m=4))
+    loaded = complex_from_obj(load_obj(path))
+    assert loaded.complex.tags is None
+
+    def no_norm(m):
+        raise AssertionError("a norm matrix was formed")
+
+    monkeypatch.setattr(modules, "norm_matrix", no_norm)
+    report = certify_resolution(loaded.complex, m=loaded.m)
+    assert report.ok, report.first_failure()
+    assert "free-up-to: PASS (m = 4)" in report.lines()
 
 
 def assert_stdlib_bytes(obj):

@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import ref_free_rank, ref_permutation_vector, ref_recognize
+from test_acceptance import END_TO_END_CORPUS
+from test_io_cli import VERIFY_INPUTS
 
+from permres import modules
 from permres.complexes import ChainMap, cone
-from permres.errors import NotPermutationBasis
+from permres.errors import InternalError, NotPermutationBasis
 from permres.groups import Group, Subgroup, all_subgroups
-from permres.linalg import Mat, permutation_vector
-from permres.modules import Module, free_module, identity_map, tensor, trivial_module
+from permres.linalg import Mat, permutation_matrix, permutation_vector
+from permres.modules import Module, free_module, free_rank, identity_map, tensor, trivial_module
 from permres.permutation import (
     PermutationDescriptor,
     element_images,
@@ -16,7 +20,8 @@ from permres.permutation import (
     recognize,
     tensor_descriptor,
 )
-from permres.resolution import periodic_complex
+from permres.random_modules import random_module
+from permres.resolution import good_resolution, periodic_complex, trivial_resolution
 
 V4 = Group(2, 2)
 C2_3 = Group(2, 3)
@@ -197,6 +202,95 @@ class TestRecognize:
             recognize(m)
         assert info.value.generator_index == 0
         assert info.value.row_index == 0
+
+
+def assert_matches_oracles(mod):
+    """recognize and free_rank agree with the per-orbit and dense-norm oracles."""
+    p = mod.group.p
+    action = [a.a.tolist() for a in mod.action]
+    assert free_rank(mod) == ref_free_rank(action, p)
+    if any(ref_permutation_vector(a) is None for a in action):
+        with pytest.raises(NotPermutationBasis):
+            recognize(mod)
+        return
+    tag = recognize(mod)
+    parts, basis_map = ref_recognize(action, p)
+    assert [part.basis.a.tolist() for part in tag.parts] == parts
+    assert tag.basis_map == basis_map
+
+
+def shuffled(mod, seed):
+    """The same module on its basis permuted by a seeded shuffle."""
+    p = mod.group.p
+    q = permutation_matrix(p, np.random.default_rng(seed).permutation(mod.dim))
+    return Module(mod.group, tuple(q @ a @ q.T for a in mod.action))
+
+
+class TestAgainstOracles:
+    GROUPS = (Group(2, 1), V4, C2_3, C3_2, Group(5, 2))
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: f"{g.p}^{g.rank}")
+    def test_shuffled_realizations(self, group):
+        subs = all_subgroups(group)
+        d = desc(group, *subs, subs[0], subs[1], subs[1], subs[-1])
+        for seed in range(3):
+            assert_matches_oracles(shuffled(realize(d).module, seed))
+
+    def test_tensor_modules(self):
+        for group in (V4, C3_2):
+            subs = all_subgroups(group)
+            d1 = realize(desc(group, subs[1], subs[-1])).module
+            d2 = realize(desc(group, subs[2], subs[0], subs[1])).module
+            assert_matches_oracles(tensor(d1, d2))
+            assert_matches_oracles(tensor(d2, shuffled(d2, 7)))
+
+    def test_acceptance_6_terms(self):
+        for p, r, dim, m, seed in END_TO_END_CORPUS:
+            for term in good_resolution(random_module(p, r, dim, seed), m).complex.terms:
+                assert_matches_oracles(term)
+
+    def test_verify_workload_terms(self):
+        for p, r, m in VERIFY_INPUTS:
+            for term in trivial_resolution(Group(p, r), m).complex.terms:
+                assert_matches_oracles(term)
+
+    def test_random_modules(self):
+        for p, r, dim, seed in [(2, 1, 3, 1), (2, 2, 4, 2), (3, 2, 4, 3), (2, 3, 3, 4), (5, 1, 3, 5)]:
+            assert_matches_oracles(random_module(p, r, dim, seed))
+
+    @pytest.mark.parametrize(
+        "group, cycles",
+        [
+            (V4, ([1, 0, 2], [0, 2, 1])),  # two transpositions that do not commute
+            (Group(2, 1), ([1, 2, 0],)),  # a 3-cycle, of order prime to 2
+        ],
+        ids=["noncommuting", "3-cycle"],
+    )
+    def test_broken_relations(self, monkeypatch, group, cycles):
+        mod = Module(group, tuple(permutation_matrix(group.p, c) for c in cycles))
+        action = [a.a.tolist() for a in mod.action]
+
+        def no_walk(*args):
+            raise AssertionError("free_rank walked orbits of a non-action")
+
+        monkeypatch.setattr(modules, "element_images", no_walk)
+        assert free_rank(mod) == ref_free_rank(action, group.p)
+        with pytest.raises(InternalError):
+            recognize(mod)
+
+    def test_one_subgroup_per_distinct_part(self, monkeypatch):
+        # the largest term above the free degrees: 9 orbits, 3 stabilizers
+        top = max(trivial_resolution(C3_2, 6).complex.terms[7:], key=lambda t: t.dim)
+        calls = []
+        init = Subgroup.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Subgroup, "__init__", counted)
+        tag = recognize(top)
+        assert len(calls) == len(set(tag.parts)) < len(tag.parts)
 
 
 class TestMackey:

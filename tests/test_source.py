@@ -67,18 +67,52 @@ def _references(tree, name):
 
 
 # One scan decides which generators are permutations, and one builder makes
-# the matrices of k(E/H); a second copy of either must fail here.
+# the matrices of k(E/H); a second copy of either must fail here.  One orbit
+# walk, ``element_images``, reads the stabilizers and the free rank of a
+# permutation module, so the dense norm is formed only off permutation modules
+# and where ``strip_free`` needs its columns.
 @pytest.mark.parametrize(
-    "name, owner",
-    [("permutation_vector", "Module.perms"), ("permutation_matrix", "coset_module")],
+    "name, home, owners",
+    [
+        pytest.param(
+            "permutation_vector",
+            "linalg.py",
+            [("modules.py", "Module.perms")],
+            id="permutation_vector-Module.perms",
+        ),
+        pytest.param(
+            "permutation_matrix",
+            "linalg.py",
+            [("modules.py", "coset_module")],
+            id="permutation_matrix-coset_module",
+        ),
+        pytest.param(
+            "element_images",
+            "modules.py",
+            [("modules.py", "free_rank"), ("permutation.py", "recognize")],
+            id="element_images-free_rank-recognize",
+        ),
+        pytest.param(
+            "norm_matrix",
+            "modules.py",
+            [("modules.py", "free_rank"), ("modules.py", "strip_free")],
+            id="norm_matrix-free_rank-strip_free",
+        ),
+    ],
 )
-def test_one_use_site(name, owner):
-    sites = [
-        (path.name, scope)
-        for path in sorted(SRC.glob("*.py"))
-        for scope in _references(ast.parse(path.read_text()), name)
-    ]
-    assert sites == [("modules.py", owner)]
+def test_one_use_site(name, home, owners):
+    sites = []
+    homes = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites.extend((path.name, scope) for scope in _references(tree, name))
+        homes.extend(
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        )
+    assert sites == owners
+    assert homes == [home]
 
 
 # One broadcast helper, ``linalg.kron``, forms every Kronecker product.
