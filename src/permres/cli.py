@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -49,14 +50,8 @@ EXIT_INTERNAL = 4
 
 def _tag_line(parts) -> str:
     """Render a part multiset compactly: '2x{} + 1x{01}'."""
-    counts = {}
-    order = []
-    for part in parts:
-        key = repr(part)
-        if key not in counts:
-            order.append(key)
-        counts[key] = counts.get(key, 0) + 1
-    return " + ".join(f"{counts[k]}x{k}" for k in order) if order else "(zero)"
+    counts = Counter(repr(part) for part in parts)  # keeps first-seen order
+    return " + ".join(f"{n}x{key}" for key, n in counts.items()) or "(zero)"
 
 
 def _load_module(path) -> Module:
@@ -252,10 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved = config.dim_cap(), config.order_cap()
     try:
-        config.set_caps(dim_cap=args.cap_dim, order_cap=args.cap_order)
-        return args.func(args)
+        with config.limits(args.cap_dim, args.cap_order):
+            return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -265,8 +259,6 @@ def main(argv=None) -> int:
     except (PermresError, FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    finally:
-        config.set_caps(dim_cap=saved[0], order_cap=saved[1])
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config
 from .errors import GroupMismatch
-from .linalg import Mat, check_prime, nullspace, row_space
+from .linalg import Mat, check_prime, non_pivots, nullspace, row_space
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,7 @@ class Subgroup:
 
     def free_coords(self):
         """Coordinates complementary to the pivots, in increasing order."""
-        piv = set(self.pivots())
-        return tuple(c for c in range(self.group.rank) if c not in piv)
+        return tuple(non_pivots(self.group.rank, self.pivots()).tolist())
 
     def reduce(self, vec):
         """The canonical coset representative of vec + H (zero on all pivots).

@@ -20,6 +20,8 @@ Conventions (all deterministic, so downstream outputs are golden-testable):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DimensionMismatch, InternalError
@@ -40,9 +42,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_prime_cache: set[int] = set()
-
-
 def check_prime(p: int) -> int:
     """p itself, if it is a prime below 2^31; otherwise ValueError.
 
@@ -50,15 +49,18 @@ def check_prime(p: int) -> int:
     products of two residues, and it keeps the trial division to at most
     46,341 steps.
     """
-    if p not in _prime_cache:
-        if not isinstance(p, (int, np.integer)):
-            raise ValueError(f"{p!r} is not a prime")
-        if p >= _PRIME_BOUND:
-            raise ValueError(f"p = {p} is not below 2^31, the largest field size supported")
-        if not is_prime(int(p)):
-            raise ValueError(f"{p!r} is not a prime")
-        _prime_cache.add(int(p))
-    return int(p)
+    if not isinstance(p, (int, np.integer)):  # so the memo is keyed by ints alone
+        raise ValueError(f"{p!r} is not a prime")
+    return _checked_prime(int(p))
+
+
+@lru_cache(maxsize=None)
+def _checked_prime(p: int) -> int:
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p = {p} is not below 2^31, the largest field size supported")
+    if not is_prime(p):
+        raise ValueError(f"{p!r} is not a prime")
+    return p
 
 
 class Mat:

@@ -417,17 +417,13 @@ def fixed_points(m: Module, h: Subgroup) -> Mat:
     basis.  These are the columns of the canonical nullspace of the
     stacked A^x - I, whose free variable on each orbit is its largest
     point, so the columns come ordered by the largest point of their orbit.
+    The H-orbit of x is column x of the ``element_images`` rows at the
+    elements of H.
     """
     perms = m.require_perms()
     d, p = m.dim, m.group.p
-    # top[x]: the largest point that x reaches by the generators of H seen so far
-    top = np.arange(d)
-    for row in h.basis.a:
-        g = np.arange(d)
-        for sigma, e in zip(perms, row):
-            g = _perm_pow(sigma, int(e))[g]
-        for _ in range(p - 1):
-            top = np.maximum(top, top[g])
+    in_h = ~h.reduce(np.array(m.group.elements(), dtype=np.int64)).any(axis=1)
+    top = element_images(m.group, perms, np.arange(d))[in_h].max(axis=0)
     # number the orbits by their largest points, in increasing order
     largest, orbit = np.unique(top, return_inverse=True)
     f = np.zeros((d, largest.size), dtype=np.int64)
@@ -505,21 +501,20 @@ def orbit_columns(m: Module, vecs: np.ndarray) -> np.ndarray:
 
     Block j (columns j |E| to (j + 1) |E| - 1) holds A^x v_j for all x in
     E, in lexicographic element order.  When every generator is a
-    permutation sigma, A e_x = e_sigma[x] makes each step a move of rows,
-    (A w)[sigma[x]] = w[x]; otherwise each step is a dense product.
+    permutation, A^x e_y = e_images[x, y] makes the walk one scatter of
+    rows, (A^x w)[images[x, y]] = w[y]; otherwise each step is a dense
+    product.
     """
-    group = m.group
-    p = group.p
-    walk = np.empty((group.order,) + vecs.shape, dtype=np.int64)
-    walk[0] = vecs % p
-    perms = m.perms
-    if all(sigma is not None for sigma in perms):
-        for idx, (i, prev) in enumerate(group.steps(), start=1):
-            walk[idx, perms[i]] = walk[prev]
+    group, p = m.group, m.group.p
+    d, t = vecs.shape
+    walk = np.empty((group.order, d, t), dtype=np.int64)
+    if all(sigma is not None for sigma in m.perms):
+        images = element_images(group, m.perms, np.arange(d))
+        walk[np.arange(group.order)[:, None], images] = vecs % p
     else:
+        walk[0] = vecs % p
         for idx, (i, prev) in enumerate(group.steps(), start=1):
             walk[idx] = m.action[i].a @ walk[prev] % p
-    d, t = vecs.shape
     return walk.transpose(1, 2, 0).reshape(d, t * group.order)
 
 
@@ -531,9 +526,9 @@ def projective_cover(m: Module) -> Cover:
     coordinate of the rref of rad M).
     """
     rad_rows = _radical_rows(m, Mat.identity(m.group.p, m.dim))
-    piv = {int(np.flatnonzero(row)[0]) for row in rad_rows.a}
-    free_coords = [c for c in range(m.dim) if c not in piv]
-    t = len(free_coords)
+    pivots = [np.flatnonzero(row)[0] for row in rad_rows.a]
+    free_coords = non_pivots(m.dim, pivots)
+    t = free_coords.size
     f = free_module(m.group, t)
     gens = np.zeros((m.dim, t), dtype=np.int64)
     gens[free_coords, np.arange(t)] = 1
@@ -680,18 +675,17 @@ def iso_probe(
         return IsoProbe("not_isomorphic", None)
     p = m.group.p
     if p ** len(basis) <= 16:
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            cand = _combine(basis, coeffs)
-            if rank(cand) == m.dim:
-                return IsoProbe("iso", ModuleMap(m, n, cand))
-        return IsoProbe("not_isomorphic", None)
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        coeffs = rng.integers(0, p, size=len(basis))
+        candidates = itertools.product(range(p), repeat=len(basis))
+        exhausted = "not_isomorphic"
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = (rng.integers(0, p, size=len(basis)) for _ in range(trials))
+        exhausted = "inconclusive"
+    for coeffs in candidates:
         cand = _combine(basis, coeffs)
         if rank(cand) == m.dim:
             return IsoProbe("iso", ModuleMap(m, n, cand))
-    return IsoProbe("inconclusive", None)
+    return IsoProbe(exhausted, None)
 
 
 def _combine(basis: list[Mat], coeffs) -> Mat:

@@ -52,7 +52,7 @@ from .complexes import (
 )
 from .errors import InternalError, LiftFailed, OddLength, SelectionFailed
 from .groups import Group, Subgroup
-from .linalg import Mat, hstack, inverse, rank, solve, vstack
+from .linalg import Mat, hstack, inverse, non_pivots, rank, solve, vstack
 from .modules import (
     Cover,
     Module,
@@ -341,7 +341,7 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
     if len(selected) < t:
         raise SelectionFailed("no set of free parts maps isomorphically onto Q")
     w_cols = sorted(pos for idx in selected for pos in positions[idx])
-    keep_cols = [c for c in range(res.terms[0].dim) if c not in set(w_cols)]
+    keep_cols = non_pivots(res.terms[0].dim, w_cols)
     eps_m = proj_m.matrix @ res.aug.matrix
     a = eps_m.take_cols(keep_cols)
     b = eps_m.take_cols(w_cols)

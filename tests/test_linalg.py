@@ -190,6 +190,15 @@ class TestMatOps:
             with pytest.raises(ValueError):
                 Mat(p, [[1]])
 
+    def test_a_checked_prime_does_not_admit_its_float(self):
+        assert check_prime(3) == 3
+        # an earlier check of 3 must not let 3.0 through
+        with pytest.raises(ValueError, match="not a prime"):
+            check_prime(3.0)
+        with pytest.raises(ValueError, match="not a prime"):
+            Mat(3.0, [[1]])
+        assert type(check_prime(np.int64(3))) is int
+
     def test_rref_exact_at_the_largest_prime(self):
         p = 2147483647
         rng = np.random.default_rng(5)

@@ -109,12 +109,8 @@ class TestConstructors:
         assert free_module(group, t) == realize(PermutationDescriptor(group, trivial)).module
 
     def test_free_module_of_rank_0_under_a_cap_below_the_order(self):
-        saved = config.dim_cap()
-        config.set_caps(dim_cap=V4.order - 1)
-        try:
+        with config.limits(dim_cap=V4.order - 1):
             assert free_module(V4, 0).dim == 0
-        finally:
-            config.set_caps(dim_cap=saved)
 
     def test_equal_modules_compare_and_hash_equal(self):
         a, b = free_module(V4, 2), free_module(V4, 2)
@@ -226,9 +222,7 @@ class TestPermutationCertificate:
 
     def test_large_prime_rank_one(self):
         p = 2**31 - 1  # the largest prime field supported
-        saved = config.order_cap()
-        config.set_caps(order_cap=p)
-        try:
+        with config.limits(order_cap=p):
             group = Group(p, 1)
             assert _checked(Module(group, (Mat.identity(p, 3),))) is None
             for sigma in ([1, 0, 2], [1, 2, 0]):
@@ -238,8 +232,6 @@ class TestPermutationCertificate:
             assert _checked(Module(group, (Mat(p, [[1, 1], [0, 1]]),))) is None
             diag = Module(group, (Mat(p, [[2, 0], [0, 1]]),))
             assert _checked(diag) == "generator 1: order does not divide p"
-        finally:
-            config.set_caps(order_cap=saved)
 
     @pytest.mark.parametrize("p, r, m", [(2, 2, 3), (3, 2, 2), (2, 1, 3), (3, 1, 2)])
     def test_maps_with_one_wrong_entry(self, p, r, m):

@@ -68,9 +68,11 @@ def _references(tree, name):
 
 # One scan decides which generators are permutations, and one builder makes
 # the matrices of k(E/H); a second copy of either must fail here.  One orbit
-# walk, ``element_images``, reads the stabilizers and the free rank of a
-# permutation module, so the dense norm is formed only off permutation modules
-# and where ``strip_free`` needs its columns.
+# walk, ``element_images``, reads the fixed points, the orbit columns, the
+# stabilizers and the free rank of a permutation module, so a generator is
+# raised to a power only where ``validate_module`` checks its order, and the
+# dense norm is formed only off permutation modules and where ``strip_free``
+# needs its columns.
 @pytest.mark.parametrize(
     "name, home, owners",
     [
@@ -89,8 +91,19 @@ def _references(tree, name):
         pytest.param(
             "element_images",
             "modules.py",
-            [("modules.py", "free_rank"), ("permutation.py", "recognize")],
-            id="element_images-free_rank-recognize",
+            [
+                ("modules.py", "fixed_points"),
+                ("modules.py", "orbit_columns"),
+                ("modules.py", "free_rank"),
+                ("permutation.py", "recognize"),
+            ],
+            id="element_images-fixed_points-orbit_columns-free_rank-recognize",
+        ),
+        pytest.param(
+            "_perm_pow",
+            "modules.py",
+            [("modules.py", "validate_module")],
+            id="_perm_pow-validate_module",
         ),
         pytest.param(
             "norm_matrix",
@@ -143,3 +156,44 @@ def test_one_json_reader():
                 if any((node.module, a.name) in readers for a in node.names):
                     sites.append((path.name, node.lineno))
     assert [name for name, _ in sites] == ["io.py"], f"JSON readers: {sites}"
+
+
+# A result depends only on the call's inputs: no function rebinds a module
+# global, and no module keeps a list, dict or set that calls could fill.
+# Memos are ``functools.lru_cache`` on pure functions, and the caps live in
+# the ``config.limits`` context variable.  Objects configured once at import,
+# such as ``io._DECODER``, are not containers and stay allowed.
+MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _module_level(tree):
+    """The statements run at import, outside every def and class body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            todo.extend(getattr(node, field, []))
+
+
+def _is_mutable(value):
+    return isinstance(value, MUTABLE_DISPLAYS) or (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in ("list", "dict", "set")
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_global_mutable_state(path):
+    tree = ast.parse(path.read_text())
+    sites = [
+        ("global", node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Global)
+    ]
+    for node in _module_level(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            if node.value is not None and _is_mutable(node.value):
+                sites.append(("mutable container", node.lineno))
+    assert not sites, f"{path.name}: {sites}"
