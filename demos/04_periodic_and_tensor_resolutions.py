@@ -32,7 +32,7 @@ res = trivial_resolution(V4, 1)
 print("m=1 dims:", res.complex.dims(), " chi =", euler_characteristic(res.complex))
 print("free up to 1:", free_up_to(res.complex, 1))
 for j, tag in enumerate(res.complex.tags):
-    print(f"  degree {j}: {tag.descriptor}")
+    print(f"  degree {j}: {tag}")
 
 # Asking for more freeness lengthens the periodic factors.
 res2 = trivial_resolution(V4, 2)

@@ -30,7 +30,7 @@ base = good_resolution(k, 1).complex
 extra = tag_complex(single_term_complex(q, identity_map(q)))
 summed = direct_sum_complexes(base, extra)
 print("before trim:", summed.dims())
-print("degree-0 tag:", summed.tags[0].descriptor)
+print("degree-0 tag:", summed.tags[0])
 
 ds = direct_sum(k, q)
 proj_m = ModuleMap(summed.aug.target, k, ds.proj1.matrix)
@@ -38,6 +38,6 @@ proj_q = ModuleMap(summed.aug.target, q, ds.proj2.matrix)
 
 out = trim(summed, proj_m, proj_q)
 print("after trim:", out.dims())
-print("degree-0 tag:", out.tags[0].descriptor)
+print("degree-0 tag:", out.tags[0])
 print("still a resolution:", is_resolution(out), " of dim", out.aug.target.dim)
 print("freeness preserved (m=1):", free_up_to(out, 1))

@@ -5,15 +5,14 @@ and an optional augmentation eps : C_0 -> M is treated as the degree-0
 boundary for exactness purposes.
 
 The constructors check only the shapes of what they glue, and every
-direct sum of terms is one ``block_sum``.  ``cone`` and
-``direct_sum_complexes`` compose the tags of their terms from the tags of
-their inputs (``direct_sum_tag``); ``tensor_complexes`` recognizes its
-terms, since a Mackey basis is not a concatenation.  ``truncate`` drops
-one degree of a complex it takes to be exact, and ``lift_chain_map`` does
-not multiply out the equivariant solves it makes.  ``certify_resolution``
-is the one place that recomputes d^2 = 0, all homology dimensions, tag
-recognition and freeness, trusting none of them; its tag check,
-``check_tags``, also compares a file's stored tags in ``permres verify``.
+direct sum of terms is one ``block_sum``.  Tags are descriptors: ``cone``
+and ``direct_sum_complexes`` take the multiset union of their inputs',
+``tensor_complexes`` the Mackey rule, and none recognizes a term.
+``lift_chain_map`` recognizes each term it solves from, for its basis map.
+``truncate`` drops one degree of a complex it takes to be exact.
+``certify_resolution`` is the one place that recomputes d^2 = 0, all
+homology dimensions, tag recognition and freeness, trusting none of them;
+``check_tags`` compares the stored descriptors, composed or read from a file.
 
 Sign conventions (the certified statements are sign-independent):
 
@@ -41,7 +40,7 @@ from .modules import (
     trivial_module,
     validate_module,
 )
-from .permutation import TaggedModule, direct_sum_tag, recognize, solve_equivariant
+from .permutation import PermutationDescriptor, recognize, solve_equivariant, tensor_descriptor
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class Complex:
     terms: tuple[Module, ...]
     diffs: tuple[ModuleMap, ...]
     aug: ModuleMap | None = None
-    tags: tuple[TaggedModule, ...] | None = None
+    tags: tuple[PermutationDescriptor, ...] | None = None
 
     def __post_init__(self):
         if not self.terms:
@@ -63,12 +62,8 @@ class Complex:
                 raise ValueError(f"differential {j + 1} does not match its terms")
         if self.aug is not None and self.aug.source != self.terms[0]:
             raise ValueError("augmentation source must be the degree-0 term")
-        if self.tags is not None:
-            if len(self.tags) != len(self.terms):
-                raise ValueError("tags must align with terms")
-            for j, tag in enumerate(self.tags):
-                if tag.module != self.terms[j]:
-                    raise ValueError(f"tag {j} wraps a different module")
+        if self.tags is not None and len(self.tags) != len(self.terms):
+            raise ValueError("tags must align with terms")
 
     @property
     def top(self) -> int:
@@ -179,7 +174,7 @@ def free_up_to(c: Complex, m: int) -> bool:
         raise ValueError("freeness degree must be >= 0")
     for j in range(0, min(m, c.top) + 1):
         if c.tags is not None:
-            if not c.tags[j].descriptor.is_free():
+            if not c.tags[j].is_free():
                 return False
         elif free_rank(c.terms[j]) * c.group.order != c.terms[j].dim:
             return False
@@ -192,7 +187,12 @@ def free_up_to(c: Complex, m: int) -> bool:
 
 def tag_complex(c: Complex) -> Complex:
     """Attach recognized tags to every term (all must be permutation bases)."""
-    return Complex(c.terms, c.diffs, c.aug, tuple(recognize(t) for t in c.terms))
+    return Complex(c.terms, c.diffs, c.aug, tuple(recognize(t).descriptor for t in c.terms))
+
+
+def _union(group: Group, descriptors) -> PermutationDescriptor:
+    """The multiset union: the descriptor of the block sum of the described modules."""
+    return PermutationDescriptor(group, tuple(part for d in descriptors for part in d.parts))
 
 
 def single_term_complex(module: Module, aug: ModuleMap | None = None) -> Complex:
@@ -213,7 +213,7 @@ def retarget_augmentation(c: Complex, new_target: Module) -> Complex:
 def direct_sum_complexes(a: Complex, b: Complex) -> Complex:
     """Degree-wise direct sum; augmented onto the direct sum of targets.
 
-    Tagged when both inputs are, each tag composed from the summands' tags.
+    Tagged when both inputs are, each tag the union of the summands' tags.
     """
     group = a.group
     p = group.p
@@ -236,8 +236,7 @@ def direct_sum_complexes(a: Complex, b: Complex) -> Complex:
     tags = None
     if a.tags is not None and b.tags is not None:
         tags = tuple(
-            direct_sum_tag(t, a.tags[j : j + 1] + b.tags[j : j + 1])
-            for j, t in enumerate(terms)
+            _union(group, a.tags[j : j + 1] + b.tags[j : j + 1]) for j in range(n + 1)
         )
     return Complex(tuple(terms), tuple(diffs), aug, tags)
 
@@ -245,7 +244,7 @@ def direct_sum_complexes(a: Complex, b: Complex) -> Complex:
 def cone(f: ChainMap) -> Complex:
     """Mapping cone: cone_j = Q_(j-1) (+) P_j, d(q, p) = (-d q, f(q) + d p).
 
-    Tagged when both complexes are, each tag composed from the summands' tags.
+    Tagged when both complexes are, each tag the union of the summands' tags.
     """
     q, pc = f.source, f.target
     group = q.group
@@ -273,8 +272,8 @@ def cone(f: ChainMap) -> Complex:
     tags = None
     if q.tags is not None and pc.tags is not None:
         tags = tuple(
-            direct_sum_tag(t, (q.tags[j - 1 : j] if j else ()) + pc.tags[j : j + 1])
-            for j, t in enumerate(terms)
+            _union(group, (q.tags[j - 1 : j] if j else ()) + pc.tags[j : j + 1])
+            for j in range(n + 1)
         )
     return Complex(tuple(terms), tuple(diffs), tags=tags)
 
@@ -283,6 +282,7 @@ def tensor_complexes(a: Complex, b: Complex) -> Complex:
     """Total complex of the double complex, Koszul sign on the left degree.
 
     (A (x) B)_n = (+)_(i+j=n) A_i (x) B_j with summands in increasing i.
+    Tagged when both inputs are, A_i (x) B_j by the Mackey rule.
     """
     group = a.group
     p = group.p
@@ -328,8 +328,13 @@ def tensor_complexes(a: Complex, b: Complex) -> Complex:
     if a.aug is not None and b.aug is not None:
         tgt = tensor(a.aug.target, b.aug.target)
         aug = ModuleMap(terms[0], tgt, a.aug.matrix.kron(b.aug.matrix))
-    c = Complex(tuple(terms), tuple(diffs), aug)
-    return tag_complex(c) if a.tags is not None and b.tags is not None else c
+    tags = None
+    if a.tags is not None and b.tags is not None:
+        tags = tuple(
+            _union(group, [tensor_descriptor(a.tags[i], b.tags[j]) for i, j in summands(n)])
+            for n in range(n_total + 1)
+        )
+    return Complex(tuple(terms), tuple(diffs), aug, tags)
 
 
 def syzygy(c: Complex, j: int) -> Module:
@@ -374,16 +379,16 @@ def truncate(c: Complex) -> Complex:
 def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     """Lift f through two resolutions: eps_P f_0 = f eps_Q and d f_j = f_(j-1) d.
 
-    Preconditions: q resolves f.source and is tagged, pc resolves f.target
-    with top degree <= ell, and a lift exists (projectivity guarantees one
-    when q is free up to the top degree of pc).  Each component is the
-    canonical ``solve_equivariant`` out of its tagged term; degrees above
-    pc vanish and the final compatibility is asserted rather than solved.
+    Preconditions: q resolves f.source by permutation modules, pc resolves
+    f.target with top degree <= ell, and a lift exists (projectivity
+    guarantees one when q is free up to the top degree of pc).  Each
+    component is the canonical ``solve_equivariant`` out of its term,
+    recognized for its basis map (NotPermutationBasis if it has none);
+    degrees above pc vanish and the final compatibility is asserted
+    rather than solved.
     """
     if q.aug is None or pc.aug is None:
         raise LiftFailed("both complexes must be augmented")
-    if q.tags is None:
-        raise LiftFailed("the source complex must be tagged")
     if q.aug.target != f.source or pc.aug.target != f.target:
         raise LiftFailed("augmentation targets do not match the map being lifted")
     if pc.top > ell:
@@ -393,7 +398,7 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     for j in range(q.top + 1):
         rhs = prev @ q.boundary(j).matrix
         if j <= pc.top:
-            x = solve_equivariant(q.tags[j], pc.terms[j], pc.boundary(j).matrix, rhs)
+            x = solve_equivariant(recognize(q.terms[j]), pc.terms[j], pc.boundary(j).matrix, rhs)
             if x is None:
                 raise LiftFailed(f"no lift exists at degree {j}")
             components.append(ModuleMap(q.terms[j], pc.terms[j], x))
@@ -520,7 +525,7 @@ def certify_resolution(
         add("exact", False, "no augmentation")
 
     if c.tags is not None:
-        bad = check_tags(c.terms, [tag.descriptor for tag in c.tags])
+        bad = check_tags(c.terms, c.tags)
         add("tags", bad is None, bad or "")
     elif require_tags:
         add("tags", False, "complex is untagged")

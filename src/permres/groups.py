@@ -79,7 +79,7 @@ def _steps(p, rank):
 class Subgroup:
     """A subgroup H <= E, stored as the rref basis of its subspace."""
 
-    __slots__ = ("group", "basis")
+    __slots__ = ("group", "basis", "key")
 
     def __init__(self, group: Group, rows):
         basis = row_space(Mat(group.p, rows)) if len(rows) else Mat.zeros(group.p, 0, group.rank)
@@ -87,6 +87,8 @@ class Subgroup:
             raise GroupMismatch(f"basis rows must have length {group.rank}")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "basis", basis)
+        # canonical sort key: (dim, flattened rref basis)
+        object.__setattr__(self, "key", (basis.rows, tuple(basis.a.reshape(-1).tolist())))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
@@ -113,11 +115,6 @@ class Subgroup:
     def index(self) -> int:
         """[E : H] = p^(r - dim H)."""
         return self.group.p ** (self.group.rank - self.dim)
-
-    @property
-    def key(self):
-        """Canonical sort key: (dim, flattened rref basis)."""
-        return (self.dim, tuple(int(x) for x in self.basis.a.reshape(-1)))
 
     def __eq__(self, other):
         return (

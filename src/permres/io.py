@@ -31,8 +31,9 @@ edit an object before it is read, not after.
 
 Complex terms are module bodies ({dim, generators}) or, on input only,
 {parts: [...], realize: true} to be realized on load.  Matrix shapes are
-implied by the adjacent term dimensions.  meta carries the requested
-freeness degree and a sha256 digest of the canonical payload.
+implied by the adjacent term dimensions.  Stored tags become the loaded
+complex's tags, each distinct part parsed once.  meta carries the
+requested freeness degree and a sha256 digest of the canonical payload.
 """
 
 from __future__ import annotations
@@ -171,15 +172,19 @@ def _part_rows(sub: Subgroup) -> list[list[int]]:
     return [[int(x) for x in row] for row in sub.basis.a]
 
 
-def _part_from_rows(group: Group, rows, what) -> Subgroup:
+def _part_from_rows(group: Group, rows, what, seen: dict) -> Subgroup:
     """The subgroup of a part's rref basis rows.  Leaf-array rows of the right
-    length are range-checked as one array; any other rows are walked entry
-    by entry, to name the first bad row or entry."""
+    length are range-checked as one array, and each distinct one is parsed
+    once: ``seen`` maps its bytes to its subgroup.  Any other rows are walked
+    entry by entry, to name the first bad row or entry."""
     rows = _list(rows, f"{what} basis rows")
     n, rank = len(rows), group.rank
-    a = None
+    a = key = None
     if all(isinstance(row, np.ndarray) and len(row) == rank for row in rows):
         a = np.array(rows, dtype=np.int64).reshape(n, rank)
+        key = a.tobytes()
+        if key in seen:
+            return seen[key]
     if a is None or (a.size and (a.min() < 0 or a.max() >= group.p)):
         for row in map(_plain, rows):
             if not isinstance(row, list) or len(row) != rank:
@@ -191,6 +196,8 @@ def _part_from_rows(group: Group, rows, what) -> Subgroup:
     sub = Subgroup(group, a)
     if not np.array_equal(sub.basis.a, a):
         raise FormatError(f"{what}: basis rows are not in reduced row echelon form")
+    if key is not None:
+        seen[key] = sub
     return sub
 
 
@@ -205,8 +212,9 @@ def descriptor_to_obj(d: PermutationDescriptor) -> dict:
 def descriptor_from_obj(obj) -> PermutationDescriptor:
     group = _group_from_obj(obj)
     parts = _list(obj.get("parts"), "descriptor parts")
+    seen = {}
     subs = tuple(
-        _part_from_rows(group, rows, f"part {i + 1}") for i, rows in enumerate(parts)
+        _part_from_rows(group, rows, f"part {i + 1}", seen) for i, rows in enumerate(parts)
     )
     return PermutationDescriptor(group, subs)
 
@@ -217,8 +225,7 @@ def descriptor_from_obj(obj) -> PermutationDescriptor:
 
 @dataclass(frozen=True)
 class LoadedComplex:
-    complex: Complex
-    tags: tuple[PermutationDescriptor, ...] | None
+    complex: Complex  # tagged with the file's descriptors, if it stores any
     m: int | None
     digest: str | None
     digest_expected: str | None  # None when the payload has no canonical bytes
@@ -237,7 +244,7 @@ def complex_to_obj(c: Complex, m: int | None = None) -> dict:
     }
     if c.tags is not None:
         payload["tags"] = [
-            [_part_rows(part) for part in tag.descriptor.parts] for tag in c.tags
+            [_part_rows(part) for part in tag.parts] for tag in c.tags
         ]
     payload["meta"] = {"m": m, "digest": _payload_digest(payload)}
     return payload
@@ -253,11 +260,12 @@ def complex_from_obj(obj) -> LoadedComplex:
     raw_terms = obj.get("terms")
     if not _is_list(raw_terms) or not len(raw_terms):
         raise FormatError("complex: need a non-empty term list")
+    seen = {}  # one Subgroup per distinct part of the file
     terms = []
     for j, body in enumerate(raw_terms):
         if isinstance(body, dict) and _truthy(body.get("realize")):
             parts = tuple(
-                _part_from_rows(group, rows, f"term {j} part")
+                _part_from_rows(group, rows, f"term {j} part", seen)
                 for rows in _list(body.get("parts", []), f"term {j} parts")
             )
             terms.append(realize(PermutationDescriptor(group, parts)).module)
@@ -299,7 +307,7 @@ def complex_from_obj(obj) -> LoadedComplex:
             PermutationDescriptor(
                 group,
                 tuple(
-                    _part_from_rows(group, rows, f"tag {j} part")
+                    _part_from_rows(group, rows, f"tag {j} part", seen)
                     for rows in _list(tag_parts, f"tag {j}")
                 ),
             )
@@ -315,8 +323,7 @@ def complex_from_obj(obj) -> LoadedComplex:
     except orjson.JSONEncodeError:
         expected = None
     return LoadedComplex(
-        complex=Complex(tuple(terms), diffs, aug),
-        tags=tags,
+        complex=Complex(tuple(terms), diffs, aug, tags),
         m=m,
         digest=_plain(meta.get("digest")),
         digest_expected=expected,

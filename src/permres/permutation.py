@@ -10,11 +10,17 @@ names each orbit by its smallest point and builds one ``Subgroup`` per
 distinct stabilizer.  Coset representatives are the vectors supported on
 the non-pivot coordinates of the subgroup's rref basis, in lexicographic
 order, so realizations are bit-reproducible.
+
+A complex's tags are descriptors.  A ``TaggedModule`` adds the basis map,
+made by ``realize`` or ``recognize`` only where a solve reads it.
+``mackey_tensor`` is memoised: a tensor complex meets each pair of parts
+in many degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,7 +67,7 @@ class PermutationDescriptor:
 
 @dataclass(frozen=True)
 class TaggedModule:
-    """A module together with a permutation basis.
+    """A module together with a permutation basis, from ``realize`` or ``recognize``.
 
     ``parts`` lists the transitive summands in basis order and
     ``basis_map[k] = (part index, coset representative)`` identifies each
@@ -82,25 +88,6 @@ class TaggedModule:
         for k in sorted(range(len(self.basis_map)), key=self.basis_map.__getitem__):
             out[self.basis_map[k][0]].append(k)
         return out
-
-
-def direct_sum_tag(module: Module, tags) -> TaggedModule:
-    """The tag of a block direct sum, composed from the tags of its blocks.
-
-    ``module`` is the block-diagonal sum of the tagged modules, in order.
-    Parts are concatenated and the part indices of ``basis_map`` offset.
-    Orbits never cross blocks, so this is what ``recognize`` returns when
-    every block's tag is itself a recognized one.
-    """
-    parts = []
-    basis_map = []
-    for tag in tags:
-        offset = len(parts)
-        parts.extend(tag.parts)
-        basis_map.extend((idx + offset, rep) for idx, rep in tag.basis_map)
-    if len(basis_map) != module.dim:
-        raise InternalError("summand tags do not cover the direct sum")
-    return TaggedModule(module=module, parts=tuple(parts), basis_map=tuple(basis_map))
 
 
 def realize(d: PermutationDescriptor) -> TaggedModule:
@@ -202,6 +189,7 @@ def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):
     return Mat(p, orbit_columns(target, x)[:, parts * order + idx])
 
 
+@lru_cache(maxsize=None)
 def mackey_tensor(h: Subgroup, k: Subgroup) -> PermutationDescriptor:
     """k(E/H) (x) k(E/K) decomposed: [E : H+K] copies of k(E/(H ∩ K))."""
     if h.group != k.group:

@@ -20,18 +20,17 @@ resolution of M by permutation modules that is free up to degree m:
 Build once, certify once: the construction never re-checks what it
 built (only the inputs of the public ``rotate`` and ``splice``), and
 ``certify_resolution`` recomputes every claim of the final result
-independently, exactly once.  The periodic complexes and the one-term
-free complexes take their tags from ``realize``, which made their terms;
-only the terms of the tensor complexes and the trimmed degree 0 are
-recognized, and the tags of cones and direct sums are composed from
-those.  ``trim`` certifies its own output.  Every lift out of a
-permutation module (the cover map in ``rotate``, each degree of the
-chain-map lift) is one ``solve_equivariant``: it solves for the image of
-each coset H among the H-fixed points of the target and extends them with
-one batched ``orbit_columns`` walk.  Wherever H is non-trivial the target
-is a term of a permutation resolution, so its H-fixed points are the
-indicators of the H-orbits on its basis and the walk moves rows instead
-of multiplying matrices.
+independently, exactly once.  Tags are descriptors, stated where
+``realize`` builds a term and composed by the Mackey rule and multiset
+union; a basis map is made only where a solve reads one (``rotate``,
+``lift_chain_map``, ``trim``).  ``trim`` certifies its own output.
+Every lift out of a permutation module (the cover map in ``rotate``, each
+degree of the chain-map lift) is one ``solve_equivariant``: it solves for
+the image of each coset H among the H-fixed points of the target and
+extends them with one batched ``orbit_columns`` walk.  Wherever H is
+non-trivial the target is a term of a permutation resolution, so its
+H-fixed points are the indicators of the H-orbits on its basis and the
+walk moves rows instead of multiplying matrices.
 """
 
 from __future__ import annotations
@@ -107,10 +106,9 @@ def periodic_complex(group: Group, i: int, ell: int) -> Complex:
     if not 1 <= i <= group.rank:
         raise ValueError(f"coordinate index {i} out of range 1..{group.rank}")
     p = group.p
-    part = Subgroup.coordinate_hyperplane(group, i)
-    coset_tag = realize(PermutationDescriptor(group, (part,)))
-    k_tag = realize(PermutationDescriptor(group, (Subgroup.full(group),)))
-    coset, k = coset_tag.module, k_tag.module
+    coset_tag = PermutationDescriptor(group, (Subgroup.coordinate_hyperplane(group, i),))
+    k_tag = PermutationDescriptor(group, (Subgroup.full(group),))
+    coset, k = realize(coset_tag).module, realize(k_tag).module
     gm1 = coset.action[i - 1] - Mat.identity(p, p)
     # g permutes the p cosets in one cycle, so the norm sum_k g^k is all ones
     norm = Mat(p, np.ones((p, p), dtype=np.int64))
@@ -172,7 +170,7 @@ def rotate(ses: ShortExactSequence) -> Rotation:
     group = mod_m.group
     cover = projective_cover(mod_n)
     # phi : P -> M covers pi_P through proj; P is t free parts, tagged by realize
-    free_tag = _free_term(group, cover.free_rank).tags[0]
+    free_tag = realize(PermutationDescriptor(group, (Subgroup.trivial(group),) * cover.free_rank))
     phi_mat = solve_equivariant(free_tag, mod_m, proj.matrix, cover.map.matrix)
     if phi_mat is None:
         raise InternalError("projection admits no preimage of a cover generator")
@@ -194,10 +192,10 @@ def splice(res_l: Complex, res_m: Complex, f: ModuleMap, quot: ModuleMap) -> Com
     """Resolve coker(f) = N from resolutions of L and M.
 
     ``f : L -> M`` must be injective with ``quot : M -> N`` its cokernel
-    (together they are short exact).  ``res_l`` must be tagged and a
-    chain-map lift must exist (projectivity guarantees one when ``res_l``
-    is free up to the top degree of ``res_m``); the mapping cone,
-    re-augmented through ``quot``, is then exact.  The output is not
+    (together they are short exact).  ``res_l`` must have permutation
+    terms and a chain-map lift must exist (projectivity guarantees one
+    when ``res_l`` is free up to the top degree of ``res_m``); the mapping
+    cone, re-augmented through ``quot``, is then exact.  The output is not
     certified here: pass it to ``certify_resolution``.
     """
     if res_l.aug is None or res_m.aug is None:
@@ -218,9 +216,10 @@ def splice(res_l: Complex, res_m: Complex, f: ModuleMap, quot: ModuleMap) -> Com
 
 
 def _free_term(group: Group, t: int) -> Complex:
-    """(kE)^t resolving itself, tagged by ``realize`` as ``recognize`` would tag it."""
-    tag = realize(PermutationDescriptor(group, (Subgroup.trivial(group),) * t))
-    return Complex((tag.module,), (), identity_map(tag.module), (tag,))
+    """(kE)^t resolving itself, tagged with t trivial parts."""
+    tag = PermutationDescriptor(group, (Subgroup.trivial(group),) * t)
+    module = realize(tag).module
+    return Complex((module,), (), identity_map(module), (tag,))
 
 
 def _splice_step(res_m: Complex, rot: Rotation, m: int) -> Complex:
@@ -296,14 +295,14 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
     """From a resolution of M (+) Q with Q free, produce one of M.
 
     The epimorphism from degree 0 onto Q forces Q to split off a set of
-    free parts of the degree-0 term: select them greedily (one scan,
-    each part accepted when it adds a full p^r to the rank), then cancel
-    them against Q, restricting the augmentation and d_1.
+    free parts of the degree-0 term (recognized): select them greedily
+    (one scan, each part accepted when it adds a full p^r to the rank),
+    then cancel them against Q, restricting the augmentation and d_1.
     """
     if res.aug is None:
         raise SelectionFailed("input complex is not augmented")
     if res.tags is None:
-        raise SelectionFailed("degree-0 term must be tagged")
+        raise SelectionFailed("input complex must be tagged")
     target = res.aug.target
     for name, f in (("proj_m", proj_m), ("proj_q", proj_q)):
         if f.source != target:
@@ -323,7 +322,7 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
         raise SelectionFailed("the two projections do not split the target")
     if t == 0:
         return res
-    tag0 = res.tags[0]
+    tag0 = recognize(res.terms[0])
     positions = tag0.positions()
     free_parts = [
         idx for idx, part in enumerate(tag0.parts) if part.is_trivial()
@@ -363,7 +362,8 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
             raise InternalError("free-summand cancellation left a nonzero W-block")
         new_diffs[0] = ModuleMap(res.terms[1], new_term, d1.take_rows(keep_cols))
     aug = ModuleMap(new_term, proj_m.target, eps_new)
-    tags = (recognize(new_term),) + res.tags[1:]
+    kept = tuple(part for idx, part in enumerate(tag0.parts) if idx not in selected)
+    tags = (PermutationDescriptor(group, kept),) + res.tags[1:]
     out = Complex(new_terms, tuple(new_diffs), aug, tags)
     report = certify_resolution(out, require_tags=True)
     if not report.ok:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from permres import modules
+from permres import complexes, modules
 from permres.complexes import (
     ChainMap,
+    CheckResult,
     Complex,
     certify_resolution,
     check_chain_map,
-    check_tags,
     cone,
     direct_sum_complexes,
     euler_characteristic,
@@ -21,8 +21,8 @@ from permres.complexes import (
     tensor_complexes,
     truncate,
 )
-from permres.errors import LiftFailed, NotPermutationBasis, NotResolution
-from permres.groups import Group
+from permres.errors import NotPermutationBasis, NotResolution
+from permres.groups import Group, Subgroup
 from permres.io import complex_from_obj, complex_to_obj
 from permres.linalg import Mat, inverse
 from permres.modules import (
@@ -35,7 +35,7 @@ from permres.modules import (
     trivial_module,
     zero_map,
 )
-from permres.permutation import recognize
+from permres.permutation import PermutationDescriptor, realize, recognize
 from permres.random_modules import random_module
 from permres.resolution import (
     _free_term,
@@ -149,9 +149,9 @@ class TestCone:
         cn = cone(ident)
         assert all(h == 0 for h in homology_dims(cn))
         assert cn.tags is not None
-        # composed tags are exactly the recognized ones, basis_map included
+        # composed tags are exactly the recognized descriptors
         for tag, term in zip(cn.tags, cn.terms):
-            assert tag == recognize(term)
+            assert tag == recognize(term).descriptor
 
     def test_cone_of_zero_from_zero_complex(self):
         c = periodic_piece_c2()
@@ -197,6 +197,50 @@ class TestTensor:
         t = tensor_complexes(c, c)
         assert is_resolution(t)
         assert t.dims() == (9, 18, 15, 6, 1)
+
+
+class TestMackeyTags:
+    """tensor_complexes states its tags by the Mackey rule, recognizing nothing."""
+
+    @pytest.mark.parametrize("p, r", [(2, 2), (3, 2), (2, 3)])
+    def test_periodic_pieces(self, p, r):
+        group = Group(p, r)
+        t = periodic_complex(group, 1, 2)
+        for i in range(2, r + 1):
+            t = tensor_complexes(t, periodic_complex(group, i, 2))
+        for tag, term in zip(t.tags, t.terms):
+            assert tag == recognize(term).descriptor
+
+    @pytest.mark.parametrize(
+        "p, r, h, k",
+        [
+            (2, 2, [[0, 1]], [[0, 1]]),  # H = K a line: p copies of k(E/H)
+            (3, 2, [[1, 1]], [[1, 1]]),
+            (2, 3, [[1, 0, 0]], [[0, 1, 0]]),  # H + K a plane: 2 copies of kE
+            (2, 3, [[1, 0, 0], [0, 1, 0]], [[1, 0, 0]]),  # K < H: 2 copies of k(E/K)
+        ],
+    )
+    def test_single_terms_with_multiplicity(self, p, r, h, k):
+        group = Group(p, r)
+        h, k = Subgroup(group, h), Subgroup(group, k)
+        assert (h + k).index > 1
+        a, b = (
+            Complex((realize(d).module,), (), tags=(d,))
+            for d in (PermutationDescriptor(group, (h,)), PermutationDescriptor(group, (k,)))
+        )
+        t = tensor_complexes(a, b)
+        assert t.tags[0] == recognize(t.terms[0]).descriptor
+        assert len(t.tags[0].parts) == (h + k).index
+
+    def test_tensor_complexes_recognizes_nothing(self, monkeypatch):
+        a = periodic_complex(V4, 1, 2)
+        b = periodic_complex(V4, 2, 2)
+
+        def no_recognize(m):
+            raise AssertionError("a term was recognized")
+
+        monkeypatch.setattr(complexes, "recognize", no_recognize)
+        assert tensor_complexes(a, b).tags is not None
 
 
 class TestTruncate:
@@ -251,11 +295,14 @@ class TestLift:
         for comp in lift.components:
             assert check_module_map(comp) is None
 
-    def test_untagged_source_is_refused(self):
-        c = periodic_piece_c2()
+    def test_non_permutation_source_is_refused(self):
+        # kC_2 -> k in a basis that is not a permutation basis
         k = trivial_module(C2, 1)
-        with pytest.raises(LiftFailed, match="tagged"):
-            lift_chain_map(identity_map(k), c, tag_complex(c), ell=c.top)
+        f = conjugated(free_module(C2, 1))
+        q = single_term_complex(f, ModuleMap(f, k, Mat(2, [[1, 0]])))
+        assert check_module_map(q.aug) is None
+        with pytest.raises(NotPermutationBasis):
+            lift_chain_map(identity_map(k), q, periodic_piece_c2(), ell=2)
 
     def test_lift_across_shorter_target(self):
         q = tag_complex(periodic_piece_c2())
@@ -276,10 +323,10 @@ class TestAssembly:
         assert s.dims() == (4, 2, 1)
         assert is_resolution(s)
         assert s.aug.target.dim == 3
-        # composed tags are exactly the recognized ones, basis_map included
+        # composed tags are exactly the recognized descriptors
         assert s.tags is not None
         for tag, term in zip(s.tags, s.terms):
-            assert tag == recognize(term)
+            assert tag == recognize(term).descriptor
 
     @pytest.mark.parametrize("p, r", [(2, 2), (3, 2)])
     @pytest.mark.parametrize("t", [0, 1, 3])
@@ -288,9 +335,9 @@ class TestAssembly:
         free = _free_term(group, t)
         assert free.terms[0] == free_module(group, t)
         s = direct_sum_complexes(trivial_resolution(group, 1).complex, free)
-        # realized and composed tags are exactly the recognized ones, basis_map included
+        # stated and composed tags are exactly the recognized descriptors
         for tag, term in zip(free.tags + s.tags, free.terms + s.terms):
-            assert tag == recognize(term)
+            assert tag == recognize(term).descriptor
 
     def test_retarget(self):
         c = periodic_piece_c2()
@@ -313,6 +360,20 @@ class TestCertify:
         assert not report.ok
         assert report.first_failure() is not None
 
+    def test_swapped_claims_fail_naming_the_degree(self):
+        c = trivial_resolution(V4, 1).complex
+        assert c.tags[0] != c.tags[1]
+        swapped = (c.tags[1], c.tags[0]) + c.tags[2:]
+        # degree 3 is k(E/H_1) + k(E/H_2); claim k(E/H_1) twice, as large and as free
+        h1, h2 = c.tags[3].parts
+        assert h1 != h2
+        doubled = c.tags[:3] + (PermutationDescriptor(V4, (h1, h1)),) + c.tags[4:]
+        for tags, degree in ((swapped, 0), (doubled, 3)):
+            report = certify_resolution(Complex(c.terms, c.diffs, c.aug, tags), m=1)
+            assert report.first_failure() == CheckResult(
+                "tags", False, f"degree {degree}: recognized tag differs from the stored tag"
+            )
+
     def test_euler_diagnostic(self):
         k = trivial_module(C2, 1)
         k2 = trivial_module(C2, 2)
@@ -334,9 +395,9 @@ class TestCertify:
         calls = []
         scan = modules.permutation_vector
         monkeypatch.setattr(modules, "permutation_vector", lambda a: calls.append(a) or scan(a))
-        # the checks of permres verify: the certificate, then the stored tags
+        # permres verify: the certificate, which checks the stored tags
+        assert c.tags is not None
         assert certify_resolution(c, m=res.m).ok
-        assert check_tags(c.terms, loaded.tags) is None
         maps = c.diffs + (c.aug,)
         ends = c.terms + tuple(f.source for f in maps) + tuple(f.target for f in maps)
         assert len(calls) == c.group.rank * len({id(x) for x in ends})

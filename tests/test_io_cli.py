@@ -17,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ref_canonical_dumps, ref_load_obj, ref_unflat_error
-from permres import cli, modules
+from permres import cli, complexes, modules
 from permres.cli import main
 from permres.complexes import certify_resolution
 from permres.errors import PermresError
 from permres.groups import Group, Subgroup, all_subgroups
 from permres.io import (
     FormatError,
+    _part_rows,
     canonical_dumps,
     complex_from_obj,
     complex_to_obj,
@@ -170,10 +171,20 @@ class TestCli:
         assert self.run("verify", str(res_path)) == 2
         lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if ": FAIL" in line]
+        # free-up-to reads the stored claim that degree 1 is not free
         assert failed == [
-            "tags-vs-file: FAIL (degree 1: recognized tag differs from the stored tag)",
+            "tags: FAIL (degree 1: recognized tag differs from the stored tag)",
+            "free-up-to: FAIL (m = 1)",
             "VERDICT: FAIL",
         ]
+
+    def test_verify_checks_stored_tags_in_the_certificate(self, tmp_path, capsys):
+        path = tmp_path / "res.json"
+        save_obj(path, complex_to_obj(trivial_resolution(Group(3, 2), 1).complex, m=1))
+        assert self.run("verify", str(path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4:] == ["tags: PASS", "free-up-to: PASS (m = 1)", "digest: ok", "VERDICT: PASS"]
+        assert not any(line.startswith("tags-vs-file") for line in lines)
 
     def test_build_rejects_invalid_module(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -420,9 +431,11 @@ def verify_workload_objects():
 
 
 def test_certificate_of_a_read_complex_forms_no_norm(monkeypatch, tmp_path):
-    # a complex read from a file is untagged; free-up-to counts regular orbits
+    # a complex file without tags; free-up-to counts regular orbits
     path = tmp_path / "c.json"
-    save_obj(path, complex_to_obj(trivial_resolution(Group(3, 2), 4).complex, m=4))
+    obj = complex_to_obj(trivial_resolution(Group(3, 2), 4).complex, m=4)
+    del obj["tags"]
+    save_obj(path, obj)
     loaded = complex_from_obj(load_obj(path))
     assert loaded.complex.tags is None
 
@@ -433,6 +446,35 @@ def test_certificate_of_a_read_complex_forms_no_norm(monkeypatch, tmp_path):
     report = certify_resolution(loaded.complex, m=loaded.m)
     assert report.ok, report.first_failure()
     assert "free-up-to: PASS (m = 4)" in report.lines()
+
+
+def test_certificate_of_a_tagged_file_reads_freeness_off_its_tags(monkeypatch, tmp_path):
+    path = tmp_path / "c.json"
+    save_obj(path, complex_to_obj(trivial_resolution(Group(3, 2), 4).complex, m=4))
+    loaded = complex_from_obj(load_obj(path))
+    assert loaded.complex.tags is not None
+
+    def no_free_rank(m):
+        raise AssertionError("free_rank was called")
+
+    monkeypatch.setattr(complexes, "free_rank", no_free_rank)
+    report = certify_resolution(loaded.complex, m=loaded.m)
+    assert report.ok, report.first_failure()
+    assert report.lines()[-2:] == ["tags: PASS", "free-up-to: PASS (m = 4)"]
+
+
+def test_each_distinct_part_is_parsed_once(monkeypatch, tmp_path):
+    path = tmp_path / "c.json"
+    save_obj(path, complex_to_obj(trivial_resolution(Group(2, 3), 3).complex, m=3))
+    obj = load_obj(path)
+    stored = json.loads(path.read_text())["tags"]
+    distinct = {json.dumps(part) for tag in stored for part in tag}
+    calls = []
+    init = Subgroup.__init__
+    monkeypatch.setattr(Subgroup, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    tags = complex_from_obj(obj).complex.tags
+    assert len(calls) == len(distinct) < sum(len(tag) for tag in stored)
+    assert [[_part_rows(part) for part in tag.parts] for tag in tags] == stored
 
 
 def assert_stdlib_bytes(obj):

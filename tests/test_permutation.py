@@ -190,11 +190,14 @@ class TestRecognize:
             self.assert_positions_are_orbits(recognize(mod))
 
     def test_positions_of_composed_tags(self):
+        # a cone's terms are recognized where a lift solves from them
         for group, i in ((V4, 2), (C3_2, 1)):
             c = periodic_complex(group, i, 2)
             cn = cone(ChainMap(c, c, tuple(identity_map(t) for t in c.terms)))
-            for tag in cn.tags:
-                self.assert_positions_are_orbits(tag)
+            for tag, term in zip(cn.tags, cn.terms):
+                recognized = recognize(term)
+                assert tag == recognized.descriptor
+                self.assert_positions_are_orbits(recognized)
 
     def test_rejects_non_permutation(self):
         m = Module(Group(2, 1), (Mat(2, [[1, 1], [0, 1]]),))

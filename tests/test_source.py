@@ -72,7 +72,9 @@ def _references(tree, name):
 # stabilizers and the free rank of a permutation module, so a generator is
 # raised to a power only where ``validate_module`` checks its order, and the
 # dense norm is formed only off permutation modules and where ``strip_free``
-# needs its columns.
+# needs its columns.  A complex's tags are descriptors, composed without
+# recognition; a term is recognized only to tag a complex on request, where a
+# lift or ``trim`` reads its basis map, and in the certificate.
 @pytest.mark.parametrize(
     "name, home, owners",
     [
@@ -110,6 +112,23 @@ def _references(tree, name):
             "modules.py",
             [("modules.py", "free_rank"), ("modules.py", "strip_free")],
             id="norm_matrix-free_rank-strip_free",
+        ),
+        pytest.param(
+            "recognize",
+            "permutation.py",
+            [
+                ("complexes.py", "tag_complex"),
+                ("complexes.py", "lift_chain_map"),
+                ("complexes.py", "check_tags"),
+                ("resolution.py", "trim"),
+            ],
+            id="recognize-tag_complex-lift_chain_map-check_tags-trim",
+        ),
+        pytest.param(
+            "tag_complex",
+            "complexes.py",
+            [("cli.py", "cmd_trim")],
+            id="tag_complex-cmd_trim",
         ),
     ],
 )
