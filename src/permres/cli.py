@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs: build, verify, omega, tensor, random, info, trim; ``verify``
-certifies a file as read, so its stored tags are the ones checked.  Exit codes:
+certifies a file as read, and ``trim`` passes a file's stored tags on to
+its certificate, so stored tags are the ones checked.  Exit codes:
 0 = pass, 2 = invalid input, 3 = resource cap exceeded, 4 = internal
 assertion failure.  All outputs are canonical JSON, so identical inputs
 and seeds reproduce identical bytes.
@@ -178,8 +179,13 @@ def cmd_trim(args) -> int:
     eye = np.eye(target.dim, dtype=np.int64)
     proj_m = ModuleMap(target, m_mod, Mat(group.p, eye[:split]))
     proj_q = ModuleMap(target, q_mod, Mat(group.p, eye[split:]))
-    tagged = tag_complex(c)
-    out = trim(tagged, proj_m, proj_q)
+    # stored tags are passed on, so the certificate of the trimmed complex checks them
+    if c.tags is None:
+        try:
+            c = tag_complex(c)
+        except InternalError as exc:  # permutation generators that do not act as E
+            raise FormatError(f"complex file: {exc}") from exc
+    out = trim(c, proj_m, proj_q)
     save_obj(args.out, complex_to_obj(out, m=loaded.m))
     print(f"trimmed a free block of rank {t} ({qdim} dimensions) off degree 0")
     print("term dims: " + " ".join(str(d) for d in out.dims()))

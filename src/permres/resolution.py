@@ -23,7 +23,9 @@ built (only the inputs of the public ``rotate`` and ``splice``), and
 independently, exactly once.  Tags are descriptors, stated where
 ``realize`` builds a term and composed by the Mackey rule and multiset
 union; a basis map is made only where a solve reads one (``rotate``,
-``lift_chain_map``, ``trim``).  ``trim`` certifies its own output.
+``lift_chain_map``, ``trim``).  ``trim`` certifies its own output, and
+certifies its input only when that fails, to tell an invalid input from
+a fault of its own.
 Every lift out of a permutation module (the cover map in ``rotate``, each
 degree of the chain-map lift) is one ``solve_equivariant``: it solves for
 the image of each coset H among the H-fixed points of the target and
@@ -49,7 +51,7 @@ from .complexes import (
     tensor_complexes,
     truncate,
 )
-from .errors import InternalError, LiftFailed, OddLength, SelectionFailed
+from .errors import InternalError, LiftFailed, NotResolution, OddLength, SelectionFailed
 from .groups import Group, Subgroup
 from .linalg import Mat, hstack, inverse, non_pivots, rank, solve, vstack
 from .modules import (
@@ -298,6 +300,9 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
     free parts of the degree-0 term (recognized): select them greedily
     (one scan, each part accepted when it adds a full p^r to the rank),
     then cancel them against Q, restricting the augmentation and d_1.
+    The output is certified.  Where that or an identity on the way fails,
+    the input is certified too: NotResolution names the input's failed
+    check, and InternalError is left for a failure on a valid input.
     """
     if res.aug is None:
         raise SelectionFailed("input complex is not augmented")
@@ -322,7 +327,10 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
         raise SelectionFailed("the two projections do not split the target")
     if t == 0:
         return res
-    tag0 = recognize(res.terms[0])
+    try:
+        tag0 = recognize(res.terms[0])
+    except InternalError as exc:  # permutation generators that do not act as E
+        raise _trim_failure(res, str(exc)) from exc
     positions = tag0.positions()
     free_parts = [
         idx for idx, part in enumerate(tag0.parts) if part.is_trivial()
@@ -359,7 +367,7 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
         # the W-block of the straightened differential vanishes since eps d_1 = 0
         w_block = d1.take_rows(w_cols) + alpha_inv @ c_blk @ d1.take_rows(keep_cols)
         if not w_block.is_zero():
-            raise InternalError("free-summand cancellation left a nonzero W-block")
+            raise _trim_failure(res, "free-summand cancellation left a nonzero W-block")
         new_diffs[0] = ModuleMap(res.terms[1], new_term, d1.take_rows(keep_cols))
     aug = ModuleMap(new_term, proj_m.target, eps_new)
     kept = tuple(part for idx, part in enumerate(tag0.parts) if idx not in selected)
@@ -367,5 +375,14 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
     out = Complex(new_terms, tuple(new_diffs), aug, tags)
     report = certify_resolution(out, require_tags=True)
     if not report.ok:
-        raise InternalError(f"trimmed complex not exact: {report.first_failure()}")
+        raise _trim_failure(res, f"trimmed complex not exact: {report.first_failure()}")
     return out
+
+
+def _trim_failure(res: Complex, what: str) -> Exception:
+    """NotResolution naming the first check the input fails, or, if the
+    input is a certified tagged resolution, InternalError(what)."""
+    failed = certify_resolution(res, require_tags=True).first_failure()
+    if failed is None:
+        return InternalError(what)
+    return NotResolution(f"input is not a resolution: {failed.name} FAIL ({failed.detail})")

@@ -17,9 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ref_canonical_dumps, ref_load_obj, ref_unflat_error
-from permres import cli, complexes, modules
+from permres import cli, complexes, modules, resolution
 from permres.cli import main
-from permres.complexes import certify_resolution
+from permres.complexes import (
+    CertReport,
+    CheckResult,
+    certify_resolution,
+    direct_sum_complexes,
+    single_term_complex,
+    tag_complex,
+)
 from permres.errors import PermresError
 from permres.groups import Group, Subgroup, all_subgroups
 from permres.io import (
@@ -36,7 +43,7 @@ from permres.io import (
     module_to_obj,
     save_obj,
 )
-from permres.modules import free_module, trivial_module
+from permres.modules import free_module, identity_map, trivial_module
 from permres.permutation import PermutationDescriptor
 from permres.random_modules import random_module
 from permres.resolution import good_resolution, trivial_resolution
@@ -502,6 +509,102 @@ json_values = st.recursive(
     | st.dictionaries(st.text(st.characters(max_codepoint=0x7E), max_size=4), inner, max_size=5),
     max_leaves=40,
 )
+
+
+def _k_plus_ke(group, m):
+    """A tagged resolution of k (+) kE: the good resolution of k plus kE in degree 0."""
+    f = free_module(group, 1)
+    extra = tag_complex(single_term_complex(f, identity_map(f)))
+    return direct_sum_complexes(good_resolution(trivial_module(group, 1), m).complex, extra)
+
+
+class TestTrimInput:
+    """``permres trim`` on invalid inputs: exit 2 naming the input's failed check."""
+
+    V4 = Group(2, 2)
+
+    def trim(self, tmp_path, obj):
+        path = tmp_path / "in.json"
+        path.write_text(canonical_dumps(obj))
+        out_path = tmp_path / "out.json"
+        return main(["trim", str(path), "--free-rank", "1", "--out", str(out_path)]), out_path
+
+    def test_a_non_resolution_input_exits_2(self, tmp_path, capsys):
+        obj = complex_to_obj(_k_plus_ke(self.V4, 2), m=2)
+        assert len(obj["terms"]) == 9
+        obj["differentials"][1][0] ^= 1
+        code, out_path = self.trim(tmp_path, obj)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: input is not a resolution: maps-intertwine FAIL (degree 2:")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
+    def test_a_degree_0_term_that_is_not_a_module_exits_2(self, tmp_path, capsys, tagged):
+        obj = complex_to_obj(_k_plus_ke(self.V4, 0), m=0)
+        dim = obj["terms"][0]["dim"]
+        # a 3-cycle: a permutation whose order does not divide 2
+        cycle = np.zeros((dim, dim), dtype=np.int64)
+        cycle[[1, 2, 0] + list(range(3, dim)), range(dim)] = 1
+        obj["terms"][0]["generators"][0] = cycle.ravel().tolist()
+        if not tagged:
+            del obj["tags"]
+        code, out_path = self.trim(tmp_path, obj)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "order does not divide p" in err and "internal" not in err
+        assert not out_path.exists()
+
+    def test_stored_tags_are_checked(self, tmp_path, capsys):
+        obj = complex_to_obj(_k_plus_ke(self.V4, 2), m=2)
+        assert obj["tags"][3] != obj["tags"][4]
+        obj["tags"][3], obj["tags"][4] = obj["tags"][4], obj["tags"][3]
+        code, out_path = self.trim(tmp_path, obj)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: input is not a resolution: tags FAIL (degree 3:")
+        assert not out_path.exists()
+
+    def test_stored_tags_are_not_recognized_again(self, tmp_path, capsys, monkeypatch):
+        res = _k_plus_ke(self.V4, 0)
+        assert res.top == 4
+        calls = []
+        for owner in (complexes, resolution):
+            recognize = owner.recognize
+            monkeypatch.setattr(
+                owner, "recognize", lambda m, f=recognize: calls.append(m.dim) or f(m)
+            )
+        code, out_path = self.trim(tmp_path, complex_to_obj(res, m=0))
+        assert code == 0, capsys.readouterr().err
+        # degree 0 once for its parts, then each term of the output in its certificate
+        assert len(calls) == 1 + 5
+        out = complex_from_obj(load_obj(out_path)).complex
+        assert out.tags[1:] == res.tags[1:]
+
+    def test_a_successful_trim_certifies_once(self, tmp_path, capsys, monkeypatch):
+        obj = complex_to_obj(_k_plus_ke(self.V4, 0), m=0)
+        calls = []
+        certify = resolution.certify_resolution
+        monkeypatch.setattr(
+            resolution, "certify_resolution", lambda *a, **k: calls.append(1) or certify(*a, **k)
+        )
+        code, _ = self.trim(tmp_path, obj)
+        assert code == 0, capsys.readouterr().err
+        assert len(calls) == 1
+
+    def test_a_failure_on_a_valid_input_stays_internal(self, tmp_path, capsys, monkeypatch):
+        obj = complex_to_obj(_k_plus_ke(self.V4, 0), m=0)
+        certify = resolution.certify_resolution
+        reports = iter([CertReport((CheckResult("exact", False, "dim H_0 = 1"),))])
+        # the output's certificate fails; the input's own certificate is real
+        monkeypatch.setattr(
+            resolution, "certify_resolution", lambda *a, **k: next(reports, None) or certify(*a, **k)
+        )
+        code, out_path = self.trim(tmp_path, obj)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("internal error: trimmed complex not exact:")
+        assert not out_path.exists()
 
 
 class TestCanonicalBytes:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from permres import linalg
 from permres.errors import DimensionMismatch
+from permres.groups import Group
 from permres.linalg import (
     Mat,
     _echelon,
+    _rank,
     block_diag,
     check_prime,
     hstack,
@@ -22,6 +25,8 @@ from permres.linalg import (
     solve,
     vstack,
 )
+from permres.random_modules import random_module
+from permres.resolution import good_resolution, trivial_resolution
 
 from helpers import ref_echelon, ref_mat_pow, ref_permutation_vector, ref_rank, ref_reduce
 
@@ -81,6 +86,62 @@ class TestEchelon:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert pivots == want_pivots
+
+
+def _resolution_matrices():
+    """(label, p, array) for every differential and augmentation of the trivial
+    resolutions the verify benchmark reads, and of one good resolution."""
+    complexes = [
+        (f"trivial{(p, r, m)}", trivial_resolution(Group(p, r), m).complex)
+        for p, r, m in ((2, 3, 5), (3, 2, 20), (5, 2, 7))
+    ]
+    complexes.append(("good(3,2,3,2)", good_resolution(random_module(3, 2, 3, 633), 2).complex))
+    out = []
+    for label, c in complexes:
+        maps = [("aug", c.aug.matrix)] + [(f"d{j + 1}", d.matrix) for j, d in enumerate(c.diffs)]
+        out.extend((f"{label}.{name}", c.group.p, m.a) for name, m in maps)
+    return out
+
+
+class TestRank:
+    """Rank by pivot rounds against the per-pivot elimination and the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_arrays())
+    @example((2, np.zeros((0, 4), dtype=np.int64)))
+    @example((3, np.zeros((4, 0), dtype=np.int64)))
+    @example((5, np.zeros((3, 3), dtype=np.int64)))
+    @example((2**31 - 1, np.array([[0, 2**31 - 2, 5, 0]], dtype=np.int64)))
+    # equal leading columns, a triangular block with off-diagonal entries
+    @example((3, np.array([[1, 1, 2, 0], [0, 2, 1, 1], [2, 0, 0, 1], [0, 1, 1, 2]], dtype=np.int64)))
+    def test_equals_reference_on_sparse_arrays(self, pa):
+        p, a = pa
+        assert _rank(a, p) == ref_rank(a.tolist(), p)
+        assert rank(Mat(p, a)) == ref_rank(a.tolist(), p)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 65521])
+    def test_equals_reference_on_dense_arrays(self, p):
+        rng = np.random.default_rng(p)
+        for rows, cols, k in ((12, 12, 12), (15, 9, 9), (9, 15, 4), (20, 20, 7), (1, 6, 1), (6, 1, 1)):
+            # rank at most k, with equal rows repeated
+            a = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
+            a[rows // 2] = a[0]
+            assert _rank(a, p) == ref_rank(a.tolist(), p), (rows, cols, k)
+
+    def test_equals_echelon_on_resolution_maps(self):
+        for label, p, a in _resolution_matrices():
+            assert _rank(a, p) == len(_echelon(a, p, False)[1]), label
+
+    def test_calls_no_per_pivot_elimination(self, monkeypatch):
+        c = trivial_resolution(Group(2, 3), 5).complex
+        d = next(d.matrix for d in c.diffs if d.matrix.cols == 252)
+        want = len(_echelon(d.a, d.p, False)[1])
+
+        def no_echelon(*args):
+            raise AssertionError("rank fell back to the per-pivot loop")
+
+        monkeypatch.setattr(linalg, "_echelon", no_echelon)
+        assert rank(d) == want
 
 
 class TestRref:

@@ -74,7 +74,8 @@ def _references(tree, name):
 # dense norm is formed only off permutation modules and where ``strip_free``
 # needs its columns.  A complex's tags are descriptors, composed without
 # recognition; a term is recognized only to tag a complex on request, where a
-# lift or ``trim`` reads its basis map, and in the certificate.
+# lift or ``trim`` reads its basis map, and in the certificate.  The per-pivot
+# elimination serves the reduced forms alone; ``rank`` eliminates in rounds.
 @pytest.mark.parametrize(
     "name, home, owners",
     [
@@ -129,6 +130,17 @@ def _references(tree, name):
             "complexes.py",
             [("cli.py", "cmd_trim")],
             id="tag_complex-cmd_trim",
+        ),
+        pytest.param(
+            "_echelon",
+            "linalg.py",
+            [
+                ("linalg.py", "rref"),
+                ("linalg.py", "row_space"),
+                ("linalg.py", "nullspace"),
+                ("linalg.py", "solve"),
+            ],
+            id="_echelon-rref-row_space-nullspace-solve",
         ),
     ],
 )
