@@ -4,8 +4,9 @@ Homological indexing: differentials lower degree, d_j : C_j -> C_(j-1),
 and an optional augmentation eps : C_0 -> M is treated as the degree-0
 boundary for exactness purposes.
 
-The constructors check only the shapes of what they glue, and every
-direct sum of terms is one ``block_sum``.  Tags are descriptors: ``cone``
+The constructors check only the shapes of what they glue: a direct sum
+of terms is one ``block_sum``, and a map one ``linalg.block_matrix`` of
+its blocks by position (no numpy here).  Tags are descriptors: ``cone``
 and ``direct_sum_complexes`` take the multiset union of their inputs',
 ``tensor_complexes`` the Mackey rule, and none recognizes a term.
 ``lift_chain_map`` recognizes each term it solves from, for its basis map.
@@ -23,12 +24,11 @@ Sign conventions (the certified statements are sign-independent):
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
 
 from .errors import LiftFailed, NotResolution, PermresError
 from .groups import Group
-from .linalg import Mat, block_diag, kron, solve
+from .linalg import Mat, block_diag, block_matrix, solve
 from .modules import (
     Module,
     ModuleMap,
@@ -76,6 +76,10 @@ class Complex:
     def dims(self) -> tuple[int, ...]:
         return tuple(t.dim for t in self.terms)
 
+    def term_dim(self, j: int) -> int:
+        """dim C_j, 0 outside degrees 0..top."""
+        return self.terms[j].dim if 0 <= j <= self.top else 0
+
     def boundary(self, j: int) -> ModuleMap | None:
         """d_j for j >= 1, the augmentation for j = 0, None out of range."""
         if j == 0:
@@ -109,9 +113,7 @@ class ChainMap:
         p = self.source.group.p
         if 0 <= j <= self.source.top and self.components[j] is not None:
             return self.components[j].matrix
-        rows = self.target.terms[j].dim if j <= self.target.top else 0
-        cols = self.source.terms[j].dim if j <= self.source.top else 0
-        return Mat.zeros(p, rows, cols)
+        return Mat.zeros(p, self.target.term_dim(j), self.source.term_dim(j))
 
 
 def check_chain_map(f: ChainMap):
@@ -123,12 +125,10 @@ def check_chain_map(f: ChainMap):
         if lhs != rhs:
             return "chain-map identity fails at degree 0 (augmentations)"
     for j in range(1, f.source.top + 1):
-        rows = f.target.terms[j - 1].dim if j - 1 <= f.target.top else 0
-        cols = f.source.terms[j].dim
         if j <= f.target.top:
             lhs = f.target.diffs[j - 1].matrix @ f.component_matrix(j)
         else:
-            lhs = Mat.zeros(p, rows, cols)
+            lhs = Mat.zeros(p, f.target.term_dim(j - 1), f.source.terms[j].dim)
         rhs = f.component_matrix(j - 1) @ f.source.diffs[j - 1].matrix
         if lhs != rhs:
             return f"chain-map identity fails at degree {j}"
@@ -219,16 +219,12 @@ def direct_sum_complexes(a: Complex, b: Complex) -> Complex:
     p = group.p
     n = max(a.top, b.top)
     terms = [block_sum(group, a.terms[j : j + 1] + b.terms[j : j + 1]) for j in range(n + 1)]
-
-    def diff(c: Complex, j: int) -> Mat:
-        if j <= c.top:
-            return c.diffs[j - 1].matrix
-        return Mat.zeros(p, c.terms[j - 1].dim if j - 1 <= c.top else 0, 0)
-
-    diffs = [
-        ModuleMap(terms[j], terms[j - 1], block_diag(p, [diff(a, j), diff(b, j)]))
-        for j in range(1, n + 1)
-    ]
+    diffs = []
+    for j in range(1, n + 1):
+        parts = {(k, k): c.diffs[j - 1].matrix for k, c in enumerate((a, b)) if j <= c.top}
+        heights = [a.term_dim(j - 1), b.term_dim(j - 1)]
+        mat = block_matrix(p, heights, [a.term_dim(j), b.term_dim(j)], parts)
+        diffs.append(ModuleMap(terms[j], terms[j - 1], mat))
     aug = None
     if a.aug is not None and b.aug is not None:
         tgt = block_sum(group, (a.aug.target, b.aug.target))
@@ -256,19 +252,15 @@ def cone(f: ChainMap) -> Complex:
     ]
     diffs = []
     for j in range(1, n + 1):
-        rows_q = q.terms[j - 2].dim if 2 <= j <= q.top + 2 else 0
-        rows_p = pc.terms[j - 1].dim if j - 1 <= pc.top else 0
-        cols_q = q.terms[j - 1].dim if j - 1 <= q.top else 0
-        cols_p = pc.terms[j].dim if j <= pc.top else 0
-        mat = np.zeros((rows_q + rows_p, cols_q + cols_p), dtype=np.int64)
+        # block rows Q_(j-2), P_(j-1); block columns Q_(j-1), P_j
+        parts = {(1, 0): f.component_matrix(j - 1)}
         if 2 <= j <= q.top + 1:
-            mat[:rows_q, :cols_q] = (-q.diffs[j - 2].matrix.a) % p
-        fj = f.component_matrix(j - 1)
-        if fj.rows and fj.cols:
-            mat[rows_q:, :cols_q] = fj.a
-        if 1 <= j <= pc.top:
-            mat[rows_q:, cols_q:] = pc.diffs[j - 1].matrix.a
-        diffs.append(ModuleMap(terms[j], terms[j - 1], Mat(p, mat)))
+            parts[0, 0] = -q.diffs[j - 2].matrix
+        if j <= pc.top:
+            parts[1, 1] = pc.diffs[j - 1].matrix
+        heights = [q.term_dim(j - 2), pc.term_dim(j - 1)]
+        mat = block_matrix(p, heights, [q.term_dim(j - 1), pc.term_dim(j)], parts)
+        diffs.append(ModuleMap(terms[j], terms[j - 1], mat))
     tags = None
     if q.tags is not None and pc.tags is not None:
         tags = tuple(
@@ -293,37 +285,26 @@ def tensor_complexes(a: Complex, b: Complex) -> Complex:
     def summands(n):
         return [(i, n - i) for i in range(max(0, n - b.top), min(n, a.top) + 1)]
 
-    term_modules = {}
-    offsets = {}
-    terms = []
-    for n in range(n_total + 1):
-        off = 0
-        mods = []
-        for i, j in summands(n):
-            tm = tensor(a.terms[i], b.terms[j])
-            term_modules[i, j] = tm
-            offsets[i, j] = off
-            off += tm.dim
-            mods.append(tm)
-        terms.append(block_sum(group, mods))
+    # each distinct term and Koszul block is formed once per call: along a
+    # periodic factor the term modules, differentials and dims repeat
+    a_times = cache(lambda i, m: tensor(a.terms[i], m))
+    d_one = cache(lambda i, n: a.diffs[i - 1].matrix.kron(Mat.identity(p, n)))
+    one_d = cache(lambda n, d: Mat.identity(p, n).kron(d))
+    summed = [[a_times(i, b.terms[j]) for i, j in summands(n)] for n in range(n_total + 1)]
+    terms = [block_sum(group, mods) for mods in summed]
+    dims = [[t.dim for t in mods] for mods in summed]
     diffs = []
     for n in range(1, n_total + 1):
-        rows = terms[n - 1].dim
-        cols = terms[n].dim
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        for i, j in summands(n):
-            co = offsets[i, j]
-            w = term_modules[i, j].dim
+        row = {s: k for k, s in enumerate(summands(n - 1))}
+        parts = {}
+        for k, (i, j) in enumerate(summands(n)):
             if i >= 1:
-                ro = offsets[i - 1, j]
-                block = kron(a.diffs[i - 1].matrix.a, np.eye(b.terms[j].dim, dtype=np.int64))
-                mat[ro : ro + block.shape[0], co : co + w] = block
+                parts[row[i - 1, j], k] = d_one(i, b.terms[j].dim)
             if j >= 1:
-                ro = offsets[i, j - 1]
-                sign = 1 if i % 2 == 0 else p - 1
-                block = sign * kron(np.eye(a.terms[i].dim, dtype=np.int64), b.diffs[j - 1].matrix.a)
-                mat[ro : ro + block.shape[0], co : co + w] = block % p
-        diffs.append(ModuleMap(terms[n], terms[n - 1], Mat(p, mat)))
+                d = b.diffs[j - 1].matrix
+                parts[row[i, j - 1], k] = one_d(a.terms[i].dim, -d if i % 2 else d)
+        mat = block_matrix(p, dims[n - 1], dims[n], parts)
+        diffs.append(ModuleMap(terms[n], terms[n - 1], mat))
     aug = None
     if a.aug is not None and b.aug is not None:
         tgt = tensor(a.aug.target, b.aug.target)

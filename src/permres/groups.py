@@ -157,16 +157,9 @@ class Subgroup:
         return not any(self.reduce(vec))
 
     def coset_reps(self) -> tuple[tuple[int, ...], ...]:
-        """All canonical representatives, lexicographically ordered."""
-        p = self.group.p
-        free = self.free_coords()
-        reps = []
-        for values in itertools.product(range(p), repeat=len(free)):
-            v = [0] * self.group.rank
-            for c, x in zip(free, values):
-                v[c] = x
-            reps.append(tuple(v))
-        return tuple(reps)
+        """Canonical representatives in lexicographic order: the elements zero on every pivot."""
+        pivots = self.pivots()
+        return tuple(x for x in self.group.elements() if not any(x[c] for c in pivots))
 
     def translations(self) -> tuple[np.ndarray, ...]:
         """How each generator moves the cosets of H.

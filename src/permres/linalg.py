@@ -15,6 +15,9 @@ only a count: ``_rank`` takes every distinct leading column as a pivot
 at once and clears them all with products through ``_matmul_mod``, so
 its updates are BLAS products under the same bound and fallback.  On the
 ranks of the benchmark workloads it takes at most five such rounds.
+``block_matrix`` is the one dense block layout, zero-filling the blocks
+not given: ``block_diag`` is its diagonal case, and the maps of cones,
+tensor complexes and direct sums are assembled with it.
 
 Conventions (all deterministic, so downstream outputs are golden-testable):
 
@@ -28,6 +31,7 @@ Conventions (all deterministic, so downstream outputs are golden-testable):
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -236,19 +240,27 @@ def vstack(mats):
     return Mat._wrap(p, np.vstack([m.a for m in mats]))
 
 
+def block_matrix(p, heights, widths, parts):
+    """Block rows ``heights`` high, block columns ``widths`` wide, and block
+    (i, j) ``parts[i, j]`` or zero; a single part filling it comes back as is."""
+    rows_at, cols_at = [0, *accumulate(heights)], [0, *accumulate(widths)]
+    shape = (rows_at[-1], cols_at[-1])
+    for (i, j), m in parts.items():
+        want = (heights[i], widths[j])
+        if m.p != p or m.shape != want:
+            raise DimensionMismatch(f"block ({i}, {j}) is F_{m.p} {m.shape}, not F_{p} {want}")
+    if len(parts) == 1 and m.shape == shape:
+        return m  # the loop's one part fills the matrix
+    out = np.zeros(shape, dtype=np.int64)
+    for (i, j), m in parts.items():
+        out[rows_at[i] : rows_at[i + 1], cols_at[j] : cols_at[j + 1]] = m.a
+    return Mat._wrap(p, out)
+
+
 def block_diag(p, mats):
     mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
-    for m in mats:
-        if m.p != p:
-            raise DimensionMismatch("block_diag over mixed fields")
-        out[r : r + m.rows, c : c + m.cols] = m.a
-        r += m.rows
-        c += m.cols
-    return Mat._wrap(p, out)
+    parts = {(k, k): m for k, m in enumerate(mats)}
+    return block_matrix(p, [m.rows for m in mats], [m.cols for m in mats], parts)
 
 
 def _echelon(a: np.ndarray, p: int, reduced: bool):

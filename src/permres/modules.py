@@ -347,9 +347,11 @@ class DirectSum:
 
 
 def block_sum(group: Group, mods) -> Module:
-    """The block-diagonal direct sum of the modules, in order."""
+    """The block-diagonal direct sum of the modules, in order; one module is its own sum."""
     if any(m.group != group for m in mods):
         raise GroupMismatch("direct sum across different groups")
+    if len(mods) == 1:
+        return mods[0]
     action = tuple(block_diag(group.p, [m.action[i] for m in mods]) for i in range(group.rank))
     return Module(group, action)
 

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .complexes import (
     CertReport,
     Complex,
@@ -113,9 +111,9 @@ def periodic_complex(group: Group, i: int, ell: int) -> Complex:
     coset, k = realize(coset_tag).module, realize(k_tag).module
     gm1 = coset.action[i - 1] - Mat.identity(p, p)
     # g permutes the p cosets in one cycle, so the norm sum_k g^k is all ones
-    norm = Mat(p, np.ones((p, p), dtype=np.int64))
-    ones_col = Mat(p, np.ones((p, 1), dtype=np.int64))
-    ones_row = Mat(p, np.ones((1, p), dtype=np.int64))
+    norm = Mat(p, [[1] * p] * p)
+    ones_col = Mat(p, [[1]] * p)
+    ones_row = Mat(p, [[1] * p])
     terms = [coset] * ell + [k]
     diffs = []
     for j in range(1, ell):

@@ -83,6 +83,18 @@ def ref_permutation_vector(a):
     return [[a[y][x] for y in range(n)].index(1) for x in range(n)]
 
 
+def ref_block_matrix(heights, widths, parts):
+    """The row lists of the block matrix with parts[i, j] at block (i, j), zero elsewhere."""
+    out = []
+    for i, h in enumerate(heights):
+        for r in range(h):
+            row = []
+            for j, w in enumerate(widths):
+                row.extend(parts[i, j][r] if (i, j) in parts else [0] * w)
+            out.append(row)
+    return out
+
+
 class RefFormatError(ValueError):
     """The format error of ``ref_load_obj``, with the library's text."""
 

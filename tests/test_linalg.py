@@ -12,6 +12,7 @@ from permres.linalg import (
     _echelon,
     _rank,
     block_diag,
+    block_matrix,
     check_prime,
     hstack,
     inverse,
@@ -28,7 +29,14 @@ from permres.linalg import (
 from permres.random_modules import random_module
 from permres.resolution import good_resolution, trivial_resolution
 
-from helpers import ref_echelon, ref_mat_pow, ref_permutation_vector, ref_rank, ref_reduce
+from helpers import (
+    ref_block_matrix,
+    ref_echelon,
+    ref_mat_pow,
+    ref_permutation_vector,
+    ref_rank,
+    ref_reduce,
+)
 
 PRIMES = [2, 3, 5]
 
@@ -310,6 +318,36 @@ class TestMatOps:
         assert vstack([b, b]).shape == (2, 2)
         d = block_diag(2, [a, Mat(2, [[0, 1], [1, 0]])])
         assert d == Mat(2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        # a part that fills the matrix comes back as it is, with no copy
+        assert block_matrix(2, [1, 0], [0, 2], {(0, 1): b}) is b
+        assert block_diag(2, [b]) is b
+        # a wrong field or shape names the block
+        with pytest.raises(DimensionMismatch, match=r"block \(1, 0\)"):
+            block_matrix(2, [1, 1], [2], {(0, 0): b, (1, 0): Mat(3, [[1, 1]])})
+        with pytest.raises(DimensionMismatch, match=r"block \(0, 1\)"):
+            block_matrix(2, [1], [2, 1], {(0, 0): b, (0, 1): b})
+        with pytest.raises(DimensionMismatch, match=r"block \(1, 1\)"):
+            block_diag(2, [b, Mat(5, [[1]])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_block_matrix_matches_oracle(self, data):
+        p = data.draw(st.sampled_from([2, 3, 2**31 - 1]))
+        side = st.lists(st.integers(0, 3), min_size=1, max_size=4)
+        heights, widths = data.draw(side), data.draw(side)
+        cells = [(i, j) for i in range(len(heights)) for j in range(len(widths))]
+        present = data.draw(st.lists(st.sampled_from(cells), unique=True))
+        parts = {}
+        for i, j in present:
+            row = st.lists(st.integers(0, p - 1), min_size=widths[j], max_size=widths[j])
+            parts[i, j] = data.draw(st.lists(row, min_size=heights[i], max_size=heights[i]))
+        mats = {
+            ij: Mat(p, np.array(rows, dtype=np.int64).reshape(heights[ij[0]], widths[ij[1]]))
+            for ij, rows in parts.items()
+        }
+        got = block_matrix(p, heights, widths, mats)
+        assert got.p == p and got.shape == (sum(heights), sum(widths))
+        assert got.a.tolist() == ref_block_matrix(heights, widths, parts)
 
     @pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
     def test_kron_matches_numpy(self, p):

@@ -173,6 +173,26 @@ def test_no_numpy_kron():
     assert not sites, f"np.kron outside linalg.kron: {sites}"
 
 
+# The dense block layout stays behind ``linalg``: complexes assemble their
+# maps with ``block_matrix`` and form Kronecker blocks with ``Mat.kron``, so a
+# sparse map type changes ``linalg`` alone.
+@pytest.mark.parametrize("name", ["complexes.py", "resolution.py"])
+def test_builders_import_no_numpy_and_no_raw_kron(name):
+    sites = []
+    for node in ast.walk(ast.parse((SRC / name).read_text())):
+        if isinstance(node, ast.Import):
+            sites.extend(a.name for a in node.names if a.name.split(".")[0] == "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "numpy":
+                sites.append(node.module)
+            elif node.module.split(".")[-1] == "linalg":
+                sites.extend(f"linalg.{a.name}" for a in node.names if a.name == "kron")
+        elif isinstance(node, ast.Attribute) and node.attr == "kron":
+            if isinstance(node.value, ast.Name) and node.value.id == "linalg":
+                sites.append("linalg.kron")
+    assert not sites, f"{name}: {sites}"
+
+
 # One reader, ``io.load_obj``, parses every file; a second JSON parse in the
 # library, or a second call in ``io.py``, must fail here.
 def test_one_json_reader():
