@@ -9,7 +9,7 @@ of terms is one ``block_sum``, and a map one ``linalg.block_matrix`` of
 its blocks by position (no numpy here).  Tags are descriptors: ``cone``
 and ``direct_sum_complexes`` take the multiset union of their inputs',
 ``tensor_complexes`` the Mackey rule, and none recognizes a term.
-``lift_chain_map`` recognizes each term it solves from, for its basis map.
+``lift_chain_map`` recognizes each term it solves from, for its basis.
 ``truncate`` drops one degree of a complex it takes to be exact.
 ``certify_resolution`` is the one place that recomputes d^2 = 0, all
 homology dimensions, tag recognition and freeness, trusting none of them;
@@ -285,11 +285,12 @@ def tensor_complexes(a: Complex, b: Complex) -> Complex:
     def summands(n):
         return [(i, n - i) for i in range(max(0, n - b.top), min(n, a.top) + 1)]
 
-    # each distinct term and Koszul block is formed once per call: along a
-    # periodic factor the term modules, differentials and dims repeat
+    # each distinct term, Koszul block and pair of tags is formed once per
+    # call: along a periodic factor the terms, differentials and dims repeat
     a_times = cache(lambda i, m: tensor(a.terms[i], m))
     d_one = cache(lambda i, n: a.diffs[i - 1].matrix.kron(Mat.identity(p, n)))
     one_d = cache(lambda n, d: Mat.identity(p, n).kron(d))
+    mackey = cache(tensor_descriptor)
     summed = [[a_times(i, b.terms[j]) for i, j in summands(n)] for n in range(n_total + 1)]
     terms = [block_sum(group, mods) for mods in summed]
     dims = [[t.dim for t in mods] for mods in summed]
@@ -312,7 +313,7 @@ def tensor_complexes(a: Complex, b: Complex) -> Complex:
     tags = None
     if a.tags is not None and b.tags is not None:
         tags = tuple(
-            _union(group, [tensor_descriptor(a.tags[i], b.tags[j]) for i, j in summands(n)])
+            _union(group, [mackey(a.tags[i], b.tags[j]) for i, j in summands(n)])
             for n in range(n_total + 1)
         )
     return Complex(tuple(terms), tuple(diffs), aug, tags)
@@ -364,7 +365,7 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     f.target with top degree <= ell, and a lift exists (projectivity
     guarantees one when q is free up to the top degree of pc).  Each
     component is the canonical ``solve_equivariant`` out of its term,
-    recognized for its basis map (NotPermutationBasis if it has none);
+    recognized for its basis (NotPermutationBasis if it has none);
     degrees above pc vanish and the final compatibility is asserted
     rather than solved.
     """

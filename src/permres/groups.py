@@ -117,11 +117,7 @@ class Subgroup:
         return self.group.p ** (self.group.rank - self.dim)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.group == other.group
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subgroup) and (self.group, self.key) == (other.group, other.key)
 
     def __hash__(self):
         return hash((self.group, self.key))

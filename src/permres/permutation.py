@@ -11,8 +11,10 @@ distinct stabilizer.  Coset representatives are the vectors supported on
 the non-pivot coordinates of the subgroup's rref basis, in lexicographic
 order, so realizations are bit-reproducible.
 
-A complex's tags are descriptors.  A ``TaggedModule`` adds the basis map,
-made by ``realize`` or ``recognize`` only where a solve reads it.
+A complex's tags are descriptors.  A ``TaggedModule`` adds the basis:
+two int arrays naming each basis vector's part and the lexicographic
+index in E of its coset's representative, made by ``realize`` or read
+off the orbit walk by ``recognize``, only where a solve reads them.
 ``mackey_tensor`` is memoised: a tensor complex meets each pair of parts
 in many degrees.
 """
@@ -65,29 +67,29 @@ class PermutationDescriptor:
         return "[" + " + ".join(repr(p) for p in self.parts) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaggedModule:
     """A module together with a permutation basis, from ``realize`` or ``recognize``.
 
-    ``parts`` lists the transitive summands in basis order and
-    ``basis_map[k] = (part index, coset representative)`` identifies each
-    basis vector with a coset of its part.
+    ``parts`` lists the transitive summands.  Basis vector k stands for
+    the coset g H of H = ``parts[part_of[k]]`` whose canonical
+    representative g has lexicographic index ``element[k]`` in E, so
+    ``element == 0`` marks each part's coset H itself; those come in
+    part order.  Both arrays are write-protected.
     """
 
     module: Module
     parts: tuple[Subgroup, ...]
-    basis_map: tuple[tuple[int, tuple[int, ...]], ...]
+    part_of: np.ndarray
+    element: np.ndarray
+
+    def __post_init__(self):
+        self.part_of.setflags(write=False)
+        self.element.setflags(write=False)
 
     @property
     def descriptor(self) -> PermutationDescriptor:
         return PermutationDescriptor(self.module.group, self.parts)
-
-    def positions(self) -> list[list[int]]:
-        """Each part's basis positions, in coset-representative order."""
-        out = [[] for _ in self.parts]
-        for k in sorted(range(len(self.basis_map)), key=self.basis_map.__getitem__):
-            out[self.basis_map[k][0]].append(k)
-        return out
 
 
 def realize(d: PermutationDescriptor) -> TaggedModule:
@@ -95,10 +97,10 @@ def realize(d: PermutationDescriptor) -> TaggedModule:
     group = d.group
     config.check_dim_cap(d.dim)
     module = block_sum(group, [coset_module(part) for part in d.parts])
-    basis_map = tuple(
-        (part_idx, rep) for part_idx, part in enumerate(d.parts) for rep in part.coset_reps()
-    )
-    return TaggedModule(module=module, parts=d.parts, basis_map=basis_map)
+    part_of = np.repeat(np.arange(len(d.parts)), [part.index for part in d.parts])
+    reps = np.array([rep for part in d.parts for rep in part.coset_reps()], dtype=np.int64)
+    element = reps.reshape(-1, group.rank) @ group.p ** np.arange(group.rank - 1, -1, -1)
+    return TaggedModule(module=module, parts=d.parts, part_of=part_of, element=element)
 
 
 def recognize(m: Module) -> TaggedModule:
@@ -140,11 +142,10 @@ def recognize(m: Module) -> TaggedModule:
     # The elements carrying a start to a point form a coset v + H.  Its
     # lexicographically first element is zero on the pivots of H's rref
     # basis (each pivot entry can be cleared without touching an earlier
-    # coordinate), so it is the canonical representative ``H.reduce(v)``.
-    reps = elements[(walks[:, part_of] == np.arange(d)).argmax(axis=0)]
+    # coordinate), so ``argmax`` finds the index of ``H.reduce(v)`` in E.
+    element = (walks[:, part_of] == np.arange(d)).argmax(axis=0)
     parts = tuple(stabs[k] for k in stab_of.tolist())
-    basis_map = tuple(zip(part_of.tolist(), map(tuple, reps.tolist())))
-    return TaggedModule(module=m, parts=parts, basis_map=basis_map)
+    return TaggedModule(module=m, parts=parts, part_of=part_of, element=element)
 
 
 def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):
@@ -164,13 +165,8 @@ def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):
     """
     group = target.group
     p, order = group.p, group.order
-    parts = np.array([part for part, _ in tag.basis_map], dtype=np.intp)
-    reps = np.array([rep for _, rep in tag.basis_map], dtype=np.intp).reshape(-1, group.rank)
-    # the lexicographic index of each coset rep among the elements of E
-    idx = reps @ (p ** np.arange(group.rank - 1, -1, -1))
-    # the position of each part's coset H itself (rep 0)
-    base = np.empty(len(tag.parts), dtype=np.intp)
-    base[parts[idx == 0]] = np.flatnonzero(idx == 0)
+    # the position of each part's coset H itself, in part order
+    base = np.flatnonzero(tag.element == 0)
     x = np.zeros((target.dim, len(tag.parts)), dtype=np.int64)
     by_subgroup = {}
     for j, h in enumerate(tag.parts):
@@ -186,7 +182,7 @@ def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):
         if y is None:
             return None
         x[:, js] = y.a
-    return Mat(p, orbit_columns(target, x)[:, parts * order + idx])
+    return Mat(p, orbit_columns(target, x)[:, tag.part_of * order + tag.element])
 
 
 @lru_cache(maxsize=None)

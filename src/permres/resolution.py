@@ -22,10 +22,10 @@ built (only the inputs of the public ``rotate`` and ``splice``), and
 ``certify_resolution`` recomputes every claim of the final result
 independently, exactly once.  Tags are descriptors, stated where
 ``realize`` builds a term and composed by the Mackey rule and multiset
-union; a basis map is made only where a solve reads one (``rotate``,
-``lift_chain_map``, ``trim``).  ``trim`` certifies its own output, and
-certifies its input only when that fails, to tell an invalid input from
-a fault of its own.
+union; a permutation basis is made only where a solve reads one
+(``rotate``, ``lift_chain_map``, ``trim``).  ``trim`` certifies its own
+output, and certifies its input only when that fails, to tell an invalid
+input from a fault of its own.
 Every lift out of a permutation module (the cover map in ``rotate``, each
 degree of the chain-map lift) is one ``solve_equivariant``: it solves for
 the image of each coset H among the H-fixed points of the target and
@@ -51,7 +51,7 @@ from .complexes import (
 )
 from .errors import InternalError, LiftFailed, NotResolution, OddLength, SelectionFailed
 from .groups import Group, Subgroup
-from .linalg import Mat, hstack, inverse, non_pivots, rank, solve, vstack
+from .linalg import Mat, hstack, inverse, rank, solve, vstack
 from .modules import (
     Cover,
     Module,
@@ -268,8 +268,8 @@ def good_resolution(module: Module, m: int) -> GoodResolution:
     if bad is not None:
         raise ValueError(f"invalid module: {bad}")
     group = module.group
-    cover = projective_cover(module)
-    if cover.free.dim == module.dim:
+    if free_rank(module) * group.order == module.dim:
+        cover = projective_cover(module)
         free = _free_term(group, cover.free_rank)
         return _certified(Complex(free.terms, (), cover.map, free.tags), m)
     strip = strip_free(module)
@@ -329,24 +329,23 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
         tag0 = recognize(res.terms[0])
     except InternalError as exc:  # permutation generators that do not act as E
         raise _trim_failure(res, str(exc)) from exc
-    positions = tag0.positions()
-    free_parts = [
-        idx for idx, part in enumerate(tag0.parts) if part.is_trivial()
-    ]
     composite = proj_q.matrix @ res.aug.matrix
     selected: list[int] = []
+    chosen = tag0.part_of < 0  # the basis vectors of the selected parts
     # Rank is submodular: a part that adds less than |E| against the parts
     # chosen so far never adds |E| against more of them, so one scan suffices.
-    for idx in free_parts:
+    for idx, part in enumerate(tag0.parts):
         if len(selected) == t:
             break
-        cols = [pos for j in selected + [idx] for pos in positions[j]]
-        if rank(composite.take_cols(cols)) == len(cols):
-            selected.append(idx)
+        if part.is_trivial():
+            cols = (chosen | (tag0.part_of == idx)).nonzero()[0]
+            if rank(composite.take_cols(cols)) == cols.size:
+                chosen[cols] = True
+                selected.append(idx)
     if len(selected) < t:
         raise SelectionFailed("no set of free parts maps isomorphically onto Q")
-    w_cols = sorted(pos for idx in selected for pos in positions[idx])
-    keep_cols = non_pivots(res.terms[0].dim, w_cols)
+    w_cols = chosen.nonzero()[0]
+    keep_cols = (~chosen).nonzero()[0]
     eps_m = proj_m.matrix @ res.aug.matrix
     a = eps_m.take_cols(keep_cols)
     b = eps_m.take_cols(w_cols)

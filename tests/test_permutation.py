@@ -136,7 +136,9 @@ class TestRecognize:
         tagged = realize(d)
         back = recognize(tagged.module)
         assert back.descriptor == d
-        assert back.basis_map == tagged.basis_map
+        assert np.array_equal(back.part_of, tagged.part_of)
+        assert np.array_equal(back.element, tagged.element)
+        assert not any(t.part_of.flags.writeable or t.element.flags.writeable for t in (back, tagged))
         # re-realizing the recognized descriptor reproduces the matrices
         assert realize(back.descriptor).module == tagged.module
 
@@ -147,13 +149,18 @@ class TestRecognize:
     def assert_positions_are_orbits(self, tag):
         group = tag.module.group
         perms = [permutation_vector(a) for a in tag.module.action]
-        positions = tag.positions()
+        elements = group.elements()
+        positions = []
+        for idx in range(len(tag.parts)):
+            pos = np.flatnonzero(tag.part_of == idx)
+            # a part's positions in coset-representative order
+            positions.append(pos[np.argsort(tag.element[pos])].tolist())
         assert sorted(k for pos in positions for k in pos) == list(range(tag.module.dim))
-        for idx, (part, pos) in enumerate(zip(tag.parts, positions)):
+        for part, pos in zip(tag.parts, positions):
             reps = part.coset_reps()
-            assert [tag.basis_map[k] for k in pos] == [(idx, r) for r in reps]
+            assert tag.element[pos].tolist() == [elements.index(r) for r in reps]
             images = element_images(group, perms, pos[0])
-            for v, image in zip(group.elements(), images):
+            for v, image in zip(elements, images):
                 assert image == pos[reps.index(part.reduce(v))]
             if part.is_trivial():
                 assert list(images) == pos
@@ -219,7 +226,10 @@ def assert_matches_oracles(mod):
     tag = recognize(mod)
     parts, basis_map = ref_recognize(action, p)
     assert [part.basis.a.tolist() for part in tag.parts] == parts
-    assert tag.basis_map == basis_map
+    # the oracle's (part index, coset rep) pairs as the tag's two arrays
+    elements = mod.group.elements()
+    assert tag.part_of.tolist() == [part for part, _ in basis_map]
+    assert tag.element.tolist() == [elements.index(rep) for _, rep in basis_map]
 
 
 def shuffled(mod, seed):

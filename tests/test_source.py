@@ -74,7 +74,9 @@ def _references(tree, name):
 # dense norm is formed only off permutation modules and where ``strip_free``
 # needs its columns.  A complex's tags are descriptors, composed without
 # recognition; a term is recognized only to tag a complex on request, where a
-# lift or ``trim`` reads its basis map, and in the certificate.  The per-pivot
+# lift or ``trim`` reads its basis, and in the certificate.  Coset
+# representatives are built as tuples only for coset modules and realized
+# bases; a recognized basis is the orbit walk's index arrays.  The per-pivot
 # elimination serves the reduced forms alone; ``rank`` eliminates in rounds.
 @pytest.mark.parametrize(
     "name, home, owners",
@@ -124,6 +126,12 @@ def _references(tree, name):
                 ("resolution.py", "trim"),
             ],
             id="recognize-tag_complex-lift_chain_map-check_tags-trim",
+        ),
+        pytest.param(
+            "coset_reps",
+            "groups.py",
+            [("groups.py", "Subgroup.translations"), ("permutation.py", "realize")],
+            id="coset_reps-translations-realize",
         ),
         pytest.param(
             "tag_complex",
