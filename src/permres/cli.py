@@ -38,7 +38,6 @@ from .modules import (
     free_rank,
     omega_iter,
     radical_series,
-    validate_module,
 )
 from .permutation import tensor_descriptor
 from .resolution import good_resolution, trim
@@ -58,7 +57,7 @@ def _tag_line(parts) -> str:
 
 def _load_module(path) -> Module:
     mod = module_from_obj(load_obj(path))
-    bad = validate_module(mod)
+    bad = mod.defect
     if bad is not None:
         raise FormatError(bad)
     return mod
@@ -116,7 +115,7 @@ def cmd_tensor(args) -> int:
 def cmd_random(args) -> int:
     mod = random_module(args.p, args.r, args.dim, args.seed)
     save_obj(args.out, module_to_obj(mod))
-    bad = validate_module(mod)
+    bad = mod.defect
     print(f"random module: p={args.p} rank={args.r} dim={mod.dim} seed={args.seed}")
     print(f"validate: {'ok' if bad is None else bad}")
     print(f"wrote {args.out}")
@@ -128,7 +127,7 @@ def cmd_info(args) -> int:
     kind = detect_kind(obj)
     if kind == "module":
         mod = module_from_obj(obj)
-        bad = validate_module(mod)
+        bad = mod.defect
         print(f"module file: p={mod.group.p} rank={mod.group.rank} dim={mod.dim}")
         print(f"validate: {'ok' if bad is None else bad}")
         if bad is None:

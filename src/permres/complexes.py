@@ -38,7 +38,6 @@ from .modules import (
     kernel,
     tensor,
     trivial_module,
-    validate_module,
 )
 from .permutation import PermutationDescriptor, recognize, solve_equivariant, tensor_descriptor
 
@@ -203,8 +202,7 @@ def retarget_augmentation(c: Complex, new_target: Module) -> Complex:
     """Swap the augmentation target for a module with identical matrices."""
     if c.aug is None:
         raise ValueError("complex is not augmented")
-    old = c.aug.target
-    if old.dim != new_target.dim or old.action != new_target.action:
+    if c.aug.target != new_target:
         raise ValueError("new target must have identical action matrices")
     aug = ModuleMap(c.terms[0], new_target, c.aug.matrix)
     return Complex(c.terms, c.diffs, aug, c.tags)
@@ -455,12 +453,12 @@ def certify_resolution(
 
     bad = None
     for j, t in enumerate(c.terms):
-        msg = validate_module(t)
+        msg = t.defect
         if msg is not None:
             bad = f"degree {j}: {msg}"
             break
     if bad is None and c.aug is not None:
-        msg = validate_module(c.aug.target)
+        msg = c.aug.target.defect
         if msg is not None:
             bad = f"target: {msg}"
     add("terms-valid", bad is None, bad or "")

@@ -127,7 +127,8 @@ def _unflat(p, rows, cols, entries, what) -> Mat:
 
 
 def _module_body(m: Module) -> dict:
-    return {"dim": m.dim, "generators": [_flat(a) for a in m.action]}
+    # one generator matrix at a time: a module built from vectors keeps none
+    return {"dim": m.dim, "generators": [_flat(m.generator(i)) for i in range(m.group.rank)]}
 
 
 def module_to_obj(m: Module) -> dict:

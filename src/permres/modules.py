@@ -4,10 +4,15 @@ A module is given by r commuting generator matrices of multiplicative
 order dividing p, acting on column coordinate vectors.  Everything here
 is pure and immutable; all submodule bases follow fixed canonical
 conventions (rref rows, nullspace columns) so outputs are deterministic.
-``Module.perms`` is the one scan that decides which generators are
-permutation matrices, and ``coset_module`` the one builder of the
-permutation module k(E/H); ``free_module`` and ``permutation.realize``
-are block sums of it.
+A permutation module is stored as it is built: one index vector per
+generator, ``coset_module`` the one builder of k(E/H), and
+``block_sum`` and ``tensor`` of such modules again vectors, so no built
+term holds a dense generator.  ``free_module`` and
+``permutation.realize`` are block sums of ``coset_module``.  A module
+given by matrices (a file, the input M and what is computed from it)
+keeps them, and ``Module.perms`` is the one scan that decides which of
+them are permutation matrices.  ``Module.defect`` is the one relations
+check (``validate_module``) of each module.
 """
 
 from __future__ import annotations
@@ -40,41 +45,96 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Module:
-    """An E-representation: one generator matrix per standard generator of E."""
+    """An E-representation: one generator per standard generator of E.
+
+    ``Module(group, action)`` stores dense generator matrices: files, the
+    input M and whatever is computed from it.  ``Module.from_perms``
+    stores a permutation module as it is built, one index vector sigma
+    per generator (A e_x = e_sigma[x]) as a row of one rank x dim array,
+    each proved a permutation when the module is made.  ``action`` reads
+    the matrices in either form; a module built from vectors makes them
+    afresh on every read and keeps none.  Two modules are equal when
+    their generators are, whichever form each side holds.
+    """
 
     group: Group
-    action: tuple[Mat, ...]
+    dim: int
+    _matrices: tuple[Mat, ...] | None
+    _vectors: np.ndarray | None
 
-    def __post_init__(self):
-        if len(self.action) != self.group.rank:
-            raise ValueError(
-                f"need {self.group.rank} generator matrices, got {len(self.action)}"
-            )
-        d = self.action[0].rows
-        for a in self.action:
-            if a.p != self.group.p or a.shape != (d, d):
+    def __init__(self, group: Group, action):
+        action = tuple(action)
+        if len(action) != group.rank:
+            raise ValueError(f"need {group.rank} generator matrices, got {len(action)}")
+        d = action[0].rows
+        for a in action:
+            if a.p != group.p or a.shape != (d, d):
                 raise ValueError("generator matrices must be square, equal size, over F_p")
         config.check_dim_cap(d)
+        self.__dict__.update(group=group, dim=d, _matrices=action, _vectors=None)
+
+    @classmethod
+    def from_perms(cls, group: Group, perms) -> "Module":
+        """The permutation module whose generator i sends e_x to e_(perms[i][x]).
+
+        ``perms`` is copied into one write-protected rank x d array, and
+        each row is proved a permutation of 0..d-1 (its sorted entries are
+        0..d-1), so ``perms`` stays a checked fact.
+        """
+        try:
+            vectors = np.array(perms, dtype=np.int64)
+        except ValueError:  # numpy refuses vectors of different lengths
+            raise ValueError("generator vectors of different lengths") from None
+        if vectors.ndim != 2 or len(vectors) != group.rank:
+            raise ValueError(f"need {group.rank} generator vectors of one length")
+        d = vectors.shape[1]
+        ok = np.sort(vectors, axis=1) == np.arange(d)
+        if not ok.all():
+            i = int(np.flatnonzero(~ok.all(axis=1))[0])
+            raise ValueError(f"generator {i + 1} is not a permutation of 0..{d - 1}")
+        vectors.setflags(write=False)
+        config.check_dim_cap(d)
+        m = object.__new__(cls)
+        m.__dict__.update(group=group, dim=d, _matrices=None, _vectors=vectors)
+        return m
+
+    def generator(self, i: int) -> Mat:
+        """The matrix of generator i (0-based), made afresh for a module built from vectors."""
+        if self._matrices is not None:
+            return self._matrices[i]
+        return permutation_matrix(self.group.p, self._vectors[i])
 
     @property
-    def dim(self) -> int:
-        return self.action[0].rows
+    def action(self) -> tuple[Mat, ...]:
+        if self._matrices is not None:
+            return self._matrices
+        return tuple(self.generator(i) for i in range(self.group.rank))
 
     @cached_property
     def perms(self) -> tuple[np.ndarray | None, ...]:
         """Each generator's permutation vector, or None if it is not a permutation matrix.
 
-        The one scan of the generators, derived from the write-protected
-        matrices themselves and never set by a producer, so whatever
-        reads it still proves the permutation structure it relies on.
+        A module built from vectors holds them, proved permutations when it
+        was built; for stored matrices this is the one scan, derived from
+        the write-protected matrices themselves.  No producer sets it, so
+        whatever reads it still proves the permutation structure it
+        relies on.
         """
-        perms = tuple(permutation_vector(a) for a in self.action)
+        if self._vectors is not None:
+            return tuple(self._vectors)
+        perms = tuple(permutation_vector(a) for a in self._matrices)
         for sigma in perms:
             if sigma is not None:
                 sigma.setflags(write=False)
         return perms
+
+    @cached_property
+    def defect(self) -> str | None:
+        """``validate_module``'s verdict, taken once per module: the first
+        identity of E that the generators fail, or None."""
+        return validate_module(self)
 
     def require_perms(self) -> tuple[np.ndarray, ...]:
         """``perms`` when every generator is a permutation matrix.
@@ -84,11 +144,49 @@ class Module:
         """
         for i, sigma in enumerate(self.perms):
             if sigma is None:
-                raise NotPermutationBasis(i, first_non_permutation_row(self.action[i]))
+                raise NotPermutationBasis(i, first_non_permutation_row(self._matrices[i]))
         return self.perms
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Module):
+            return NotImplemented
+        if (self.group, self.dim) != (other.group, other.dim):
+            return False
+        if self._matrices is not None and other._matrices is not None:
+            return self._matrices == other._matrices
+        # one side holds vectors, so equal generators are permutations on both
+        return all(
+            s is not None and t is not None and np.array_equal(s, t)
+            for s, t in zip(self.perms, other.perms)
+        )
+
+    def __hash__(self):
+        gens = tuple(
+            hash(self._matrices[i]) if sigma is None else np.asarray(sigma, np.int64).tobytes()
+            for i, sigma in enumerate(self.perms)
+        )
+        return hash((self.group, self.dim, gens))
 
     def __repr__(self):
         return f"Module(p={self.group.p}, rank={self.group.rank}, dim={self.dim})"
+
+
+def _act(m: Module, i: int, x: Mat) -> Mat:
+    """A_i x.  A generator stored as sigma moves the rows: (A x)[sigma[y]] = x[y]."""
+    if m._vectors is None:
+        return m._matrices[i] @ x
+    out = np.empty_like(x.a)
+    out[m._vectors[i]] = x.a
+    return Mat._wrap(x.p, out)
+
+
+def _act_right(x: Mat, m: Module, i: int) -> Mat:
+    """x A_i.  A generator stored as sigma gathers the columns: (x A)[:, y] = x[:, sigma[y]]."""
+    if m._vectors is None:
+        return x @ m._matrices[i]
+    return Mat._wrap(x.p, x.a[:, m._vectors[i]])
 
 
 @dataclass(frozen=True)
@@ -144,14 +242,14 @@ def check_module_map(f: ModuleMap):
 
     Where both generators are permutations sigma (source) and tau
     (target), f A_s = A_t f reads f[tau[y], sigma[x]] = f[y, x]: one
-    gather, no product.
+    gather, no product.  Otherwise each side is a product, or a gather
+    where that side's generator is stored as a vector.
     """
-    pairs = zip(f.source.action, f.target.action, f.source.perms, f.target.perms)
-    for i, (a_s, a_t, sigma, tau) in enumerate(pairs):
+    for i, (sigma, tau) in enumerate(zip(f.source.perms, f.target.perms)):
         if sigma is not None and tau is not None:
             ok = np.array_equal(f.matrix.a[np.ix_(tau, sigma)], f.matrix.a)
         else:
-            ok = f.matrix @ a_s == a_t @ f.matrix
+            ok = _act_right(f.matrix, f.source, i) == _act(f.target, i, f.matrix)
         if not ok:
             return f"map does not intertwine generator {i + 1}"
     return None
@@ -185,18 +283,16 @@ def check_ses(ses: ShortExactSequence):
 def trivial_module(group: Group, n: int) -> Module:
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    eye = Mat.identity(group.p, n)
-    return Module(group, tuple(eye for _ in range(group.rank)))
+    return Module.from_perms(group, [np.arange(n)] * group.rank)
 
 
 def coset_module(h: Subgroup) -> Module:
     """k(E/H) on ``h.coset_reps()``: generator i permutes them by ``h.translations()[i]``.
 
-    The one builder of permutation matrices; every realized permutation
-    module is a ``block_sum`` of these.
+    The one builder of k(E/H), kept as its index vectors; every realized
+    permutation module is a ``block_sum`` of these.
     """
-    p = h.group.p
-    return Module(h.group, tuple(permutation_matrix(p, sigma) for sigma in h.translations()))
+    return Module.from_perms(h.group, h.translations())
 
 
 def free_module(group: Group, t: int) -> Module:
@@ -226,12 +322,14 @@ def validate_module(m: Module):
 
     A generator that is a permutation matrix is checked on its vector
     sigma (A e_x = e_sigma[x], so A B is sigma_A[sigma_B]); any other
-    generator, and every pair involving one, by dense products.
+    generator, and every pair involving one, by dense products, which
+    only a module with stored matrices can need.  Callers read the
+    verdict once per module, as ``Module.defect``.
     """
     d, p = m.dim, m.group.p
-    for i, (a, sigma) in enumerate(zip(m.action, m.perms)):
+    for i, sigma in enumerate(m.perms):
         if sigma is None:
-            ok = mat_pow(a, p).is_identity()
+            ok = mat_pow(m.action[i], p).is_identity()
         else:
             ok = np.array_equal(_perm_pow(sigma, p), np.arange(d))
         if not ok:
@@ -265,12 +363,25 @@ def submodule(m: Module, rows: Mat):
 def _restricted(m: Module, basis: Mat) -> Module:
     """m on the invariant column span of basis: each X solves basis X = A basis."""
     action = []
-    for a in m.action:
-        x = solve(basis, a @ basis)
+    for i in range(m.group.rank):
+        x = solve(basis, _act(m, i, basis))
         if x is None:
             raise InternalError("subspace is not action-invariant")
         action.append(x)
     return Module(m.group, tuple(action))
+
+
+def permutation_submodule(m: Module, keep) -> Module:
+    """The span of the basis vectors ``keep`` of a permutation module, stored as vectors.
+
+    Every generator must permute ``keep`` among itself (a union of
+    orbits); otherwise the restricted vectors are no permutations and
+    ``Module.from_perms`` raises ValueError.  Point ``keep[k]`` becomes k.
+    """
+    keep = np.asarray(keep, dtype=np.int64)
+    position = np.full(m.dim, -1, dtype=np.int64)
+    position[keep] = np.arange(keep.size)
+    return Module.from_perms(m.group, [position[sigma[keep]] for sigma in m.require_perms()])
 
 
 def radical(m: Module):
@@ -283,7 +394,8 @@ def module_closure(m: Module, rows: Mat) -> Mat:
     """Row basis of the smallest submodule containing the given row span."""
     current = row_space(rows)
     while True:
-        bigger = row_space(vstack([current] + [current @ a.T for a in m.action]))
+        moved = [_act(m, i, current.T).T for i in range(m.group.rank)]
+        bigger = row_space(vstack([current] + moved))
         if bigger.rows == current.rows:
             return bigger
         current = bigger
@@ -291,8 +403,7 @@ def module_closure(m: Module, rows: Mat) -> Mat:
 
 def _radical_rows(m: Module, rows: Mat) -> Mat:
     """Row basis of sum_i (A_i - I) W for the row-span W."""
-    eye = Mat.identity(m.group.p, m.dim)
-    stacked = vstack([rows @ (a - eye).T for a in m.action])
+    stacked = vstack([_act(m, i, rows.T).T - rows for i in range(m.group.rank)])
     return row_space(stacked)
 
 
@@ -318,7 +429,7 @@ def quotient(m: Module, incl: ModuleMap):
     free = non_pivots(m.dim, pivots)
     proj_mat = rho.take_rows(free)
     section = Mat.identity(m.group.p, m.dim).take_cols(free)
-    action = tuple(proj_mat @ a @ section for a in m.action)
+    action = tuple(proj_mat @ _act(m, i, section) for i in range(m.group.rank))
     q = Module(m.group, action)
     proj = ModuleMap(m, q, proj_mat)
     if not (proj.matrix @ incl.matrix).is_zero():
@@ -347,12 +458,21 @@ class DirectSum:
 
 
 def block_sum(group: Group, mods) -> Module:
-    """The block-diagonal direct sum of the modules, in order; one module is its own sum."""
+    """The block-diagonal direct sum of the modules, in order; one module is its own sum.
+
+    When every summand is stored as vectors, so is the sum: the vectors
+    are concatenated, each shifted by the dims before it.
+    """
     if any(m.group != group for m in mods):
         raise GroupMismatch("direct sum across different groups")
     if len(mods) == 1:
         return mods[0]
-    action = tuple(block_diag(group.p, [m.action[i] for m in mods]) for i in range(group.rank))
+    if all(m._vectors is not None for m in mods):
+        offsets = itertools.accumulate((m.dim for m in mods), initial=0)
+        shifted = [m._vectors + off for m, off in zip(mods, offsets)]
+        empty = np.zeros((group.rank, 0), dtype=np.int64)
+        return Module.from_perms(group, np.concatenate([empty, *shifted], axis=1))
+    action = tuple(block_diag(group.p, [m.generator(i) for m in mods]) for i in range(group.rank))
     return Module(group, action)
 
 
@@ -373,10 +493,17 @@ def direct_sum(m: Module, n: Module) -> DirectSum:
 
 
 def tensor(m: Module, n: Module) -> Module:
-    """Diagonal action; basis index (a, b) -> a * dim(n) + b."""
+    """Diagonal action; basis index (a, b) -> a * dim(n) + b.
+
+    Of two modules stored as vectors sigma and tau, the tensor is stored
+    as the vectors sigma(a) * dim(n) + tau(b).
+    """
     if m.group != n.group:
         raise GroupMismatch("tensor across different groups")
     config.check_dim_cap(m.dim * n.dim)
+    if m._vectors is not None and n._vectors is not None:
+        pairs = m._vectors[:, :, None] * n.dim + n._vectors[:, None, :]
+        return Module.from_perms(m.group, pairs.reshape(m.group.rank, -1))
     action = tuple(a.kron(b) for a, b in zip(m.action, n.action))
     return Module(m.group, action)
 
@@ -580,7 +707,7 @@ def free_rank(m: Module) -> int:
     need not be an action, so any other module takes the norm matrix.
     """
     perms = m.perms
-    if all(sigma is not None for sigma in perms) and validate_module(m) is None:
+    if all(sigma is not None for sigma in perms) and m.defect is None:
         images = element_images(m.group, perms, np.arange(m.dim))
         regular = (images[1:] != images[0]).all(axis=0)
         return int(np.count_nonzero(regular)) // m.group.order

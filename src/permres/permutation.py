@@ -2,14 +2,17 @@
 
 A descriptor is a multiset of subgroups, one per transitive summand; its
 realization is the ``block_sum`` of one ``modules.coset_module`` per
-part, the one builder of k(E/H).  ``recognize`` goes the other way: it
-reads the module's ``perms`` (the one scan that proves every generator a
-permutation matrix in the given basis), moves every basis point through
-E in one ``modules.element_images`` walk (which follows ``Group.steps``),
-names each orbit by its smallest point and builds one ``Subgroup`` per
-distinct stabilizer.  Coset representatives are the vectors supported on
-the non-pivot coordinates of the subgroup's rref basis, in lexicographic
-order, so realizations are bit-reproducible.
+part, the one builder of k(E/H), so a realized module is stored as
+index vectors.  ``recognize`` goes the other way.  It reads the module's
+``perms``: the vectors a built module holds, proved permutations when
+it was built, or the one scan of a module given by matrices.  It reads
+its ``defect``, the relations of E checked once per module.  Then it
+moves every basis point through E in one ``modules.element_images``
+walk (which follows ``Group.steps``), names each orbit by its smallest
+point and builds one ``Subgroup`` per distinct stabilizer.  Coset
+representatives are the vectors supported on the non-pivot coordinates
+of the subgroup's rref basis, in lexicographic order, so realizations
+are bit-reproducible.
 
 A complex's tags are descriptors.  A ``TaggedModule`` adds the basis:
 two int arrays naming each basis vector's part and the lexicographic
@@ -37,7 +40,6 @@ from .modules import (
     element_images,
     fixed_points,
     orbit_columns,
-    validate_module,
 )
 
 
@@ -118,7 +120,7 @@ def recognize(m: Module) -> TaggedModule:
     """
     group = m.group
     perms = m.require_perms()
-    bad = validate_module(m)
+    bad = m.defect
     if bad is not None:
         raise InternalError(f"the generators do not act as E: {bad}")
     d = m.dim

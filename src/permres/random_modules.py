@@ -21,7 +21,6 @@ from .modules import (
     module_closure,
     submodule,
     trivial_module,
-    validate_module,
 )
 
 
@@ -39,7 +38,7 @@ def random_module(p: int, rank: int, dim: int, seed: int) -> Module:
         rows = _sample_rows(free, dim, rng)
         if rows is not None:
             sub, _ = submodule(free, rows)
-            bad = validate_module(sub)
+            bad = sub.defect
             if bad is not None:
                 raise InternalError(f"random submodule failed validation: {bad}")
             return sub

@@ -64,10 +64,10 @@ from .modules import (
     free_rank,
     identity_map,
     kernel,
+    permutation_submodule,
     projective_cover,
     ses_from_flag,
     strip_free,
-    validate_module,
 )
 from .permutation import PermutationDescriptor, realize, recognize, solve_equivariant
 
@@ -109,7 +109,7 @@ def periodic_complex(group: Group, i: int, ell: int) -> Complex:
     coset_tag = PermutationDescriptor(group, (Subgroup.coordinate_hyperplane(group, i),))
     k_tag = PermutationDescriptor(group, (Subgroup.full(group),))
     coset, k = realize(coset_tag).module, realize(k_tag).module
-    gm1 = coset.action[i - 1] - Mat.identity(p, p)
+    gm1 = coset.generator(i - 1) - Mat.identity(p, p)
     # g permutes the p cosets in one cycle, so the norm sum_k g^k is all ones
     norm = Mat(p, [[1] * p] * p)
     ones_col = Mat(p, [[1]] * p)
@@ -264,7 +264,7 @@ def good_resolution(module: Module, m: int) -> GoodResolution:
     """
     if m < 0:
         raise ValueError("freeness degree must be >= 0")
-    bad = validate_module(module)
+    bad = module.defect
     if bad is not None:
         raise ValueError(f"invalid module: {bad}")
     group = module.group
@@ -353,10 +353,7 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
     alpha = composite.take_cols(w_cols)
     alpha_inv = inverse(alpha)
     eps_new = a - b @ alpha_inv @ c_blk
-    new_term = Module(
-        group,
-        tuple(g.take_rows(keep_cols).take_cols(keep_cols) for g in res.terms[0].action),
-    )
+    new_term = permutation_submodule(res.terms[0], keep_cols)
     new_terms = (new_term,) + res.terms[1:]
     new_diffs = list(res.diffs)
     if res.top >= 1:

@@ -6,7 +6,9 @@ second implementation path.  The ``ref_*`` routines at the end keep the
 library's earlier, slower implementations: the stdlib JSON reader and
 encoding, the per-entry matrix parse, the dense module certificate, the dense fixed
 points, the elimination loop with one numpy call per step, the per-orbit
-recognition and the dense norm rank.
+recognition and the dense norm rank.  ``ref_coset_module``,
+``ref_block_sum`` and ``ref_tensor`` build permutation modules densely,
+as the library did before it kept them as index vectors.
 """
 
 import itertools
@@ -282,3 +284,56 @@ def ref_free_rank(action, p):
             power = ref_matmul(power, a, p)
         norm = ref_matmul(norm, total, p)
     return ref_rank(norm, p)
+
+
+def ref_coset_module(p, r, h_rows):
+    """The dense generators of k(E/H), H spanned by ``h_rows``, E = (F_p)^r.
+
+    The basis is the cosets' canonical representatives: the elements,
+    in lexicographic order, that vanish on every pivot of H's reduced
+    basis.  Generator i sends the coset of x to the coset of x + e_i.
+    """
+    red, dim = ref_reduce(h_rows, p) if h_rows else ([], 0)
+    basis = red[:dim]
+    pivots = [next(c for c in range(r) if row[c]) for row in basis]
+
+    def canonical(x):
+        for row, c in zip(basis, pivots):
+            f = x[c]
+            x = [(a - f * b) % p for a, b in zip(x, row)]
+        return tuple(x)
+
+    reps = [x for x in itertools.product(range(p), repeat=r) if not any(x[c] for c in pivots)]
+    position = {x: k for k, x in enumerate(reps)}
+    action = []
+    for i in range(r):
+        a = [[0] * len(reps) for _ in reps]
+        for k, x in enumerate(reps):
+            moved = canonical([(v + (1 if j == i else 0)) % p for j, v in enumerate(x)])
+            a[position[moved]][k] = 1
+        action.append(a)
+    return action
+
+
+def ref_block_sum(actions):
+    """The block-diagonal sum of modules given as lists of dense generators."""
+    dims = [len(action[0]) for action in actions]
+    total = sum(dims)
+    out = []
+    for i in range(len(actions[0])):
+        a = [[0] * total for _ in range(total)]
+        offset = 0
+        for action, d in zip(actions, dims):
+            for y in range(d):
+                a[offset + y][offset : offset + d] = action[i][y]
+            offset += d
+        out.append(a)
+    return out
+
+
+def ref_tensor(action_m, action_n, p):
+    """The diagonal action on M (x) N: the Kronecker product of each generator pair."""
+    return [
+        [[x * y % p for x in row_a for y in row_b] for row_a in a for row_b in b]
+        for a, b in zip(action_m, action_n)
+    ]

@@ -3,8 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from permres import config
+from permres.complexes import certify_resolution, single_term_complex
 from permres.errors import NotPermutationBasis
 from permres.groups import Group, Subgroup, all_subgroups
 from permres.linalg import Mat, permutation_matrix, permutation_vector, rank
@@ -45,11 +47,15 @@ from permres.random_modules import random_module
 from permres.resolution import good_resolution, trivial_resolution
 
 from helpers import (
+    ref_block_sum,
     ref_check_module_map,
+    ref_coset_module,
     ref_fixed_points,
     ref_mat_pow,
     ref_matmul,
+    ref_permutation_vector,
     ref_rank,
+    ref_tensor,
     ref_validate_module,
 )
 
@@ -258,6 +264,160 @@ class TestPermutationCertificate:
         a = aug.matrix.a.copy()
         a[0, 0] = (a[0, 0] + 1) % 3
         assert _checked_map(ModuleMap(aug.source, aug.target, Mat(3, a))) is not None
+
+
+def cached_matrices(mod):
+    """The matrices a module holds: every ``Mat`` or 2-d array that its
+    attributes keep, looked for inside tuples, lists and dicts too, beside
+    the rank x dim array of index vectors of a module built from them."""
+    found, todo = [], [value for key, value in vars(mod).items() if key != "_vectors"]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (tuple, list)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, Mat) or (isinstance(x, np.ndarray) and x.ndim == 2):
+            found.append(x)
+    return found
+
+
+def _summand(draw, group):
+    """A drawn module with its dense oracle: a coset module stored as vectors,
+    its dense twin, or a dense non-permutation module of powers of one
+    unipotent Jordan block (order p, as its size is at most p)."""
+    p, r = group.p, group.rank
+    kind = draw(st.sampled_from(["vectors", "dense twin", "unipotent"]))
+    if kind == "unipotent":
+        n = draw(st.integers(1, min(p, 3)))
+        jordan = [[1 if x in (y, y + 1) else 0 for x in range(n)] for y in range(n)]
+        action = [ref_mat_pow(jordan, draw(st.integers(0, p - 1)), p) for _ in range(r)]
+        return Module(group, tuple(Mat(p, a) for a in action)), action
+    dim_h = draw(st.integers(0, r))
+    row = st.lists(st.integers(0, p - 1), min_size=r, max_size=r)
+    rows = draw(st.lists(row, min_size=dim_h, max_size=dim_h))
+    h = Subgroup(group, np.array(rows, dtype=np.int64).reshape(len(rows), r))
+    action = ref_coset_module(p, r, rows)
+    mod = coset_module(h)
+    if kind == "dense twin":
+        mod = Module(group, tuple(Mat(p, a) for a in action))
+    return mod, action
+
+
+@st.composite
+def summands(draw, max_dim):
+    """(group, [(module, dense oracle), ...]) with at most ``max_dim`` dims in all."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    r = draw(st.integers(1, 3))
+    group = Group(p, r)
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        mod, action = _summand(draw, group)
+        if out and sum(m.dim for m, _ in out) + mod.dim > max_dim:
+            break
+        out.append((mod, action))
+    return group, out
+
+
+def _assert_matches(mod, action):
+    """mod has the oracle's dense generators and their permutation vectors."""
+    assert [a.a.tolist() for a in mod.action] == action
+    assert [None if s is None else s.tolist() for s in mod.perms] == [
+        ref_permutation_vector(a) for a in action
+    ]
+
+
+class TestVectorStorage:
+    """Permutation modules built as index vectors equal the dense constructions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(summands(max_dim=40))
+    def test_coset_modules_and_block_sums_match_the_dense_oracle(self, drawn):
+        group, parts = drawn
+        for mod, action in parts:
+            _assert_matches(mod, action)
+        total = block_sum(group, [mod for mod, _ in parts])
+        _assert_matches(total, ref_block_sum([action for _, action in parts]))
+        if all(not cached_matrices(mod) for mod, _ in parts):
+            assert not cached_matrices(total)
+
+    @settings(max_examples=60, deadline=None)
+    @given(summands(max_dim=12), st.data())
+    def test_tensors_match_the_dense_oracle(self, drawn, data):
+        group, parts = drawn
+        (m, action_m), (n, action_n) = parts[0], data.draw(st.sampled_from(parts))
+        assume(m.dim * n.dim <= 200)
+        out = tensor(m, n)
+        _assert_matches(out, ref_tensor(action_m, action_n, group.p))
+        if not cached_matrices(m) and not cached_matrices(n):
+            assert not cached_matrices(out)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[0, 0, 1], [0, 1, 2]],  # a repeated entry
+            [[0, 1, 3], [0, 1, 2]],  # an entry out of range
+            [[0, 1, 2], [-1, 0, 1]],  # a negative entry
+            [[0, 1, 2], [0, 1]],  # the wrong length
+            [[0, 1, 2]],  # one vector for a group of rank 2
+        ],
+        ids=["repeated", "out-of-range", "negative", "length", "count"],
+    )
+    def test_vectors_that_are_no_permutations_are_refused(self, vectors):
+        with pytest.raises(ValueError):
+            Module.from_perms(V4, vectors)
+
+    def test_vectors_are_copied_and_read_only(self):
+        sigma = np.array([1, 0])
+        mod = Module.from_perms(C2, [sigma])
+        sigma[:] = [0, 1]
+        assert mod.perms[0].tolist() == [1, 0]
+        with pytest.raises(ValueError):
+            mod.perms[0][0] = 0
+
+    @pytest.mark.parametrize(
+        "group, vectors, detail",
+        [
+            (C2, [[1, 2, 0]], "degree 0: generator 1: order does not divide p"),
+            (C3_2, [[1, 0, 2], [0, 1, 2]], "degree 0: generator 1: order does not divide p"),
+            (V4, [[1, 0, 2], [0, 2, 1]], "degree 0: commutativity i=1 j=2"),
+            (C3_2, [[1, 2, 0, 3], [0, 2, 3, 1]], "degree 0: commutativity i=1 j=2"),
+        ],
+    )
+    def test_a_broken_term_fails_terms_valid_like_its_dense_twin(self, group, vectors, detail):
+        built = Module.from_perms(group, vectors)
+        twin = Module(group, tuple(permutation_matrix(group.p, s) for s in vectors))
+        reports = [certify_resolution(single_term_complex(m)) for m in (built, twin)]
+        checks = [next(c for c in rep.checks if c.name == "terms-valid") for rep in reports]
+        assert [(c.ok, c.detail) for c in checks] == [(False, detail)] * 2
+        assert _checked(twin) == detail.removeprefix("degree 0: ")
+
+    @pytest.mark.parametrize("group", [C2, V4, C3_2], ids=str)
+    def test_equal_in_both_forms(self, group):
+        built = _realized(group)
+        twin = Module(group, built.action)
+        assert not cached_matrices(built) and cached_matrices(twin)
+        assert built == twin and twin == built and hash(built) == hash(twin)
+        assert len({built, twin, Module(group, twin.action)}) == 1
+        if group.rank > 1:
+            assert Module.from_perms(group, built.perms[::-1]) != built
+        # a non-permutation generator never equals a permutation
+        u = np.eye(built.dim, dtype=np.int64)
+        u[0, 1] = 1
+        unipotent = _with_generator(twin, 0, Mat(group.p, u))
+        assert unipotent != built and built != unipotent
+
+    def test_defect_is_validated_once(self, monkeypatch):
+        from permres import modules
+
+        calls = []
+        check = modules.validate_module
+        monkeypatch.setattr(modules, "validate_module", lambda m: calls.append(m) or check(m))
+        res = trivial_resolution(V4, 2).complex
+        assert certify_resolution(res, m=2, require_tags=True).ok
+        assert free_rank(res.terms[0]) == 1
+        ends = res.terms + (res.aug.target,)
+        assert sorted(map(id, calls)) == sorted(map(id, ends))
 
 
 class TestRadicalQuotientKernel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from permres.complexes import (
+    certify_resolution,
     euler_characteristic,
     free_up_to,
     homology_dims,
@@ -45,6 +46,7 @@ from permres.resolution import (
 from permres.random_modules import random_module
 
 from helpers import ref_rank
+from test_modules import cached_matrices
 from test_acceptance import END_TO_END_CORPUS
 
 C2 = Group(2, 1)
@@ -353,6 +355,18 @@ class TestGoodResolution:
         # the first step has ell = 4: periodic lengths 4 (m' = ell / r) and
         # 6 (m' = max(m, ell) + 1, where a lift always exists), then no more
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_built_terms_keep_no_dense_generator(self, seed):
+        """Every term is a permutation module kept as index vectors: neither
+        the construction nor the certificate leaves a generator matrix on it."""
+        res = good_resolution(random_module(2, 2, 3, seed), 1)
+        c = res.complex
+        assert certify_resolution(c, m=1, require_tags=True).ok
+        assert c.top > 0
+        for j, term in enumerate(c.terms):
+            assert all(sigma is not None for sigma in term.perms), j
+            assert cached_matrices(term) == [], j
 
 
 class TestTrim:

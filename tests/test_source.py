@@ -66,8 +66,9 @@ def _references(tree, name):
     return found
 
 
-# One scan decides which generators are permutations, and one builder makes
-# the matrices of k(E/H); a second copy of either must fail here.  One orbit
+# One scan decides which generators of stored matrices are permutations, and
+# a module built from index vectors makes a generator's matrix in one place,
+# afresh for each read; a second copy of either must fail here.  One orbit
 # walk, ``element_images``, reads the fixed points, the orbit columns, the
 # stabilizers and the free rank of a permutation module, so a generator is
 # raised to a power only where ``validate_module`` checks its order, and the
@@ -90,8 +91,8 @@ def _references(tree, name):
         pytest.param(
             "permutation_matrix",
             "linalg.py",
-            [("modules.py", "coset_module")],
-            id="permutation_matrix-coset_module",
+            [("modules.py", "Module.generator")],
+            id="permutation_matrix-Module.generator",
         ),
         pytest.param(
             "element_images",
