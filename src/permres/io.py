@@ -25,14 +25,22 @@ to the bytes of the lists they replace.  ``module_from_obj`` and
 without a copy, so the arrays turn read-only in the object passed in:
 edit an object before it is read, not after.
 
-* module file:     {p, rank, dim, generators: [flat row-major, one per generator]}
+* module file:     {p, rank, dim, perms} or {p, rank, dim, generators}
 * descriptor file: {p, rank, parts: [[subgroup basis rows], ...]}
 * complex file:    {p, rank, terms, differentials, augmentation, tags?, meta}
 
-Complex terms are module bodies ({dim, generators}) or, on input only,
-{parts: [...], realize: true} to be realized on load.  Matrix shapes are
-implied by the adjacent term dimensions.  Stored tags become the loaded
-complex's tags, each distinct part parsed once.  meta carries the
+A module body is {dim, perms} when every generator is a permutation
+matrix: one index vector sigma per generator, with A e_x = e_sigma[x].
+Any other module is written {dim, generators}, each generator a flat
+row-major matrix.  Both forms are read, so files written densely by
+earlier versions still load; a ``perms`` body is checked with
+``Module.from_perms``, which copies its vectors into one array, and no
+matrix is made from it.  Complex terms and the augmentation target are
+module bodies; a term may also be, on input only, {parts: [...],
+realize: true}, to be realized on load.  Differentials and the
+augmentation matrix are flat row-major lists, their shapes implied by
+the adjacent term dimensions.  Stored tags become the loaded complex's
+tags, each distinct part parsed once.  meta carries the
 requested freeness degree and a sha256 digest of the canonical payload.
 """
 
@@ -47,6 +55,7 @@ from json.scanner import py_make_scanner
 import numpy as np
 import orjson
 
+from . import config
 from .complexes import Complex
 from .errors import PermresError
 from .groups import Group, Subgroup
@@ -117,7 +126,7 @@ def _unflat(p, rows, cols, entries, what) -> Mat:
     if a is None or (a.size and (a.min() < 0 or a.max() >= p)):
         for x in _plain(entries):
             if type(x) is not int or not 0 <= x < p:
-                raise FormatError(f"{what}: entry {x!r} is not a reduced residue mod {p}")
+                raise FormatError(f"{what}: entry {_plain(x)!r} is not a reduced residue mod {p}")
     a.setflags(write=False)
     return Mat._wrap(p, a.reshape(rows, cols))
 
@@ -127,7 +136,10 @@ def _unflat(p, rows, cols, entries, what) -> Mat:
 
 
 def _module_body(m: Module) -> dict:
-    # one generator matrix at a time: a module built from vectors keeps none
+    """A module's file body: its index vectors when every generator is a
+    permutation, else its dense generators."""
+    if all(sigma is not None for sigma in m.perms):
+        return {"dim": m.dim, "perms": [sigma.tolist() for sigma in m.perms]}
     return {"dim": m.dim, "generators": [_flat(m.generator(i)) for i in range(m.group.rank)]}
 
 
@@ -136,17 +148,39 @@ def module_to_obj(m: Module) -> dict:
 
 
 def _module_body_from_obj(group: Group, obj, what="module") -> Module:
+    """The module of a body holding exactly one of ``perms`` (index vectors)
+    and ``generators`` (dense matrices).  Each vector is checked for its
+    length and for integer entries in 0..dim-1, a leaf array as a whole and
+    only a list that fails entry by entry, to name its first bad entry;
+    then ``Module.from_perms`` proves each a permutation (its sorted entries
+    are 0..dim-1), which refuses a repeated entry.  No matrix is made from
+    a vector."""
     dim = _object(obj, what).get("dim")
-    gens = obj.get("generators")
-    if type(dim) is not int or dim < 0 or not _is_list(gens):
-        raise FormatError(f"{what}: need integer dim and a generator list")
+    if type(dim) is not int or dim < 0 or ("generators" in obj) == ("perms" in obj):
+        raise FormatError(f"{what}: need integer dim and one of generators and perms")
+    key = "perms" if "perms" in obj else "generators"
+    gens = _list(obj[key], f"{what} {key}")
     if len(gens) != group.rank:
         raise FormatError(f"{what}: expected {group.rank} generators, got {len(gens)}")
-    action = tuple(
-        _unflat(group.p, dim, dim, g, f"{what} generator {i + 1}")
-        for i, g in enumerate(gens)
-    )
-    return Module(group, action)
+    if key == "generators":
+        action = tuple(
+            _unflat(group.p, dim, dim, g, f"{what} generator {i + 1}")
+            for i, g in enumerate(gens)
+        )
+        return Module(group, action)
+    config.check_dim_cap(dim)
+    for i, sigma in enumerate(gens):
+        gen = f"{what} generator {i + 1}"
+        if len(_list(sigma, gen)) != dim:
+            raise FormatError(f"{gen}: expected {dim} entries, got {len(sigma)}")
+        if not isinstance(sigma, np.ndarray) or sigma.min() < 0 or sigma.max() >= dim:
+            for x in _plain(sigma):
+                if type(x) is not int or not 0 <= x < dim:
+                    raise FormatError(f"{gen}: entry {_plain(x)!r} is not an index in 0..{dim - 1}")
+    try:
+        return Module.from_perms(group, gens)
+    except ValueError as exc:
+        raise FormatError(f"{what}: {exc}") from None
 
 
 def _group_from_obj(obj) -> Group:
@@ -192,7 +226,7 @@ def _part_from_rows(group: Group, rows, what, seen: dict) -> Subgroup:
                 raise FormatError(f"{what}: basis rows must have length {rank}")
             for x in row:
                 if type(x) is not int or not 0 <= x < group.p:
-                    raise FormatError(f"{what}: entry {x!r} out of range")
+                    raise FormatError(f"{what}: entry {_plain(x)!r} out of range")
         a = np.array(rows, dtype=np.int64).reshape(n, rank)
     sub = Subgroup(group, a)
     if not np.array_equal(sub.basis.a, a):
@@ -340,7 +374,7 @@ def detect_kind(obj) -> str:
         return "complex"
     if "parts" in obj:
         return "descriptor"
-    if "generators" in obj:
+    if "generators" in obj or "perms" in obj:
         return "module"
     raise FormatError("unrecognized file: expected a module, descriptor, or complex")
 

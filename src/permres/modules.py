@@ -7,11 +7,12 @@ conventions (rref rows, nullspace columns) so outputs are deterministic.
 A permutation module is stored as it is built: one index vector per
 generator, ``coset_module`` the one builder of k(E/H), and
 ``block_sum`` and ``tensor`` of such modules again vectors, so no built
-term holds a dense generator.  ``free_module`` and
-``permutation.realize`` are block sums of ``coset_module``.  A module
-given by matrices (a file, the input M and what is computed from it)
-keeps them, and ``Module.perms`` is the one scan that decides which of
-them are permutation matrices.  ``Module.defect`` is the one relations
+term holds a dense generator; files write and read such a module as
+its vectors too.  ``free_module`` and ``permutation.realize`` are block
+sums of ``coset_module``.  A module given by matrices (a file's dense
+generators, the input M and what is computed from it) keeps them, and
+``Module.perms`` is the one scan that decides which of them are
+permutation matrices.  ``Module.defect`` is the one relations
 check (``validate_module``) of each module.
 """
 
@@ -49,13 +50,14 @@ from .linalg import (
 class Module:
     """An E-representation: one generator per standard generator of E.
 
-    ``Module(group, action)`` stores dense generator matrices: files, the
-    input M and whatever is computed from it.  ``Module.from_perms``
-    stores a permutation module as it is built, one index vector sigma
-    per generator (A e_x = e_sigma[x]) as a row of one rank x dim array,
-    each proved a permutation when the module is made.  ``action`` reads
-    the matrices in either form; a module built from vectors makes them
-    afresh on every read and keeps none.  Two modules are equal when
+    ``Module(group, action)`` stores dense generator matrices: a file's
+    ``generators``, the input M and whatever is computed from it.
+    ``Module.from_perms`` stores a permutation module as it is built or
+    read from a file's ``perms``, one index vector sigma per generator
+    (A e_x = e_sigma[x]) as a row of one rank x dim array, each proved a
+    permutation when the module is made.  ``action`` reads the matrices
+    in either form; a module built from vectors makes them afresh on
+    every read and keeps none.  Two modules are equal when
     their generators are, whichever form each side holds.
     """
 

@@ -8,9 +8,12 @@ encoding, the per-entry matrix parse, the dense module certificate, the dense fi
 points, the elimination loop with one numpy call per step, the per-orbit
 recognition and the dense norm rank.  ``ref_coset_module``,
 ``ref_block_sum`` and ``ref_tensor`` build permutation modules densely,
-as the library did before it kept them as index vectors.
+as the library did before it kept them as index vectors, and
+``ref_densify`` writes a file object's index vectors back as the dense
+generators that files held before.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -337,3 +340,38 @@ def ref_tensor(action_m, action_n, p):
         [[x * y % p for x in row_a for y in row_b] for row_a in a for row_b in b]
         for a, b in zip(action_m, action_n)
     ]
+
+
+def _dense_body(body):
+    """A module body with its ``perms`` written as dense ``generators``:
+    generator i has a 1 in row sigma[x] of column x, flattened row-major."""
+    if not isinstance(body, dict) or "perms" not in body:
+        return body
+    out = {k: v for k, v in body.items() if k != "perms"}
+    d = body["dim"]
+    gens = []
+    for sigma in body["perms"]:
+        flat = [0] * (d * d)
+        for x, y in enumerate(sigma):
+            flat[int(y) * d + x] = 1
+        gens.append(flat)
+    out["generators"] = gens
+    return out
+
+
+def ref_densify(obj):
+    """A module or complex object in the dense form that files had before
+    index vectors: every ``perms`` body becomes ``generators``.  A complex's
+    ``meta.digest`` is recomputed, with the stdlib encoder, over the dense
+    payload, so the result is the file an earlier writer made."""
+    if "terms" not in obj:
+        return _dense_body(obj)
+    out = dict(obj, terms=[_dense_body(t) for t in obj["terms"]])
+    if isinstance(obj.get("augmentation"), dict):
+        aug = obj["augmentation"]
+        out["augmentation"] = dict(aug, target=_dense_body(aug.get("target")))
+    if isinstance(obj.get("meta"), dict) and "digest" in obj["meta"]:
+        payload = {k: v for k, v in out.items() if k != "meta"}
+        digest = hashlib.sha256(ref_canonical_dumps(payload).encode()).hexdigest()
+        out["meta"] = dict(obj["meta"], digest=digest)
+    return out

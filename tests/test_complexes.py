@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from permres import complexes, modules
+from permres import complexes, linalg, modules
 from permres.complexes import (
     ChainMap,
     CheckResult,
@@ -43,6 +43,9 @@ from permres.resolution import (
     periodic_complex,
     trivial_resolution,
 )
+
+from helpers import ref_densify
+from test_modules import cached_matrices
 
 C2 = Group(2, 1)
 C3 = Group(3, 1)
@@ -383,14 +386,18 @@ class TestCertify:
         assert not names["exact"]
         assert not names["euler-characteristic"]
 
+    @staticmethod
+    def _resolution(permutation_target):
+        if permutation_target:
+            return trivial_resolution(V4, 3)
+        return good_resolution(random_module(3, 2, 3, seed=4), 1)
+
     @pytest.mark.parametrize("permutation_target", [True, False])
     def test_each_module_is_scanned_once(self, monkeypatch, permutation_target):
-        if permutation_target:
-            res = trivial_resolution(V4, 3)
-        else:
-            res = good_resolution(random_module(3, 2, 3, seed=4), 1)
-        # a file round trip gives modules whose perms are not cached yet
-        loaded = complex_from_obj(complex_to_obj(res.complex, m=res.m))
+        res = self._resolution(permutation_target)
+        # a round trip through a dense file gives modules whose perms are
+        # not cached yet
+        loaded = complex_from_obj(ref_densify(complex_to_obj(res.complex, m=res.m)))
         c = loaded.complex
         calls = []
         scan = modules.permutation_vector
@@ -401,3 +408,19 @@ class TestCertify:
         maps = c.diffs + (c.aug,)
         ends = c.terms + tuple(f.source for f in maps) + tuple(f.target for f in maps)
         assert len(calls) == c.group.rank * len({id(x) for x in ends})
+
+    @pytest.mark.parametrize("permutation_target", [True, False])
+    def test_a_vector_file_makes_no_generator_matrix(self, monkeypatch, permutation_target):
+        res = self._resolution(permutation_target)
+        c = complex_from_obj(complex_to_obj(res.complex, m=res.m)).complex
+        calls = []
+        scan = modules.permutation_vector
+        monkeypatch.setattr(modules, "permutation_vector", lambda a: calls.append(a) or scan(a))
+        for owner in (modules, linalg):
+            monkeypatch.setattr(owner, "permutation_matrix", lambda *a: pytest.fail("a matrix"))
+        assert c.tags is not None
+        assert certify_resolution(c, m=res.m).ok
+        # every term is read as index vectors, and keeps no matrix; only a
+        # target M that is not a permutation module is scanned, once
+        assert not any(cached_matrices(t) for t in c.terms)
+        assert len(calls) == (0 if permutation_target else c.group.rank)

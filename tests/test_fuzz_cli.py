@@ -17,6 +17,7 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import ref_densify
 from permres.cli import main
 from permres.complexes import direct_sum_complexes, single_term_complex, tag_complex
 from permres.groups import Group, Subgroup
@@ -28,10 +29,15 @@ from permres.resolution import good_resolution
 
 V4 = Group(2, 2)
 
+# The first and last module files hold index vectors (kC_2 and kV_4), the
+# other two dense generators.  The complex files hold index vectors, but
+# for the last: the one before it written densely, as files were before
+# index vectors.
 MODULES = [
     module_to_obj(random_module(2, 1, 2, 7)),
     module_to_obj(random_module(3, 1, 2, 5)),
     module_to_obj(random_module(2, 2, 2, 3)),
+    module_to_obj(free_module(V4, 1)),
 ]
 DESCRIPTORS = [
     descriptor_to_obj(PermutationDescriptor(V4, (Subgroup.trivial(V4), Subgroup.full(V4)))),
@@ -53,6 +59,7 @@ COMPLEXES = [
         m=1,
     ),
 ]
+COMPLEXES.append(ref_densify(COMPLEXES[-1]))
 
 EXIT_CODES = {0, 2, 3, 4}
 # an invalid complex is the input's fault, not an internal one

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ref_canonical_dumps, ref_load_obj, ref_unflat_error
+from helpers import ref_canonical_dumps, ref_densify, ref_load_obj, ref_unflat_error
 from permres import cli, complexes, modules, resolution
 from permres.cli import main
 from permres.complexes import (
@@ -96,17 +97,48 @@ class TestRoundTrips:
         loaded = complex_from_obj(obj)
         assert loaded.complex.terms[0] == free_module(group, 1)
 
-    def test_malformed_entries_rejected(self):
+    def test_malformed_entries_rejected(self, tmp_path):
         for bad in ([7], [True]):
-            obj = module_to_obj(trivial_module(Group(2, 1), 1))
+            obj = ref_densify(module_to_obj(trivial_module(Group(2, 1), 1)))
             obj["generators"][0] = bad
             with pytest.raises(FormatError):
                 module_from_obj(obj)
+        # the vector form, on kE over V4: dim 4, two generators
+        good = module_to_obj(free_module(Group(2, 2), 1))
+        assert good["perms"] == [[2, 3, 0, 1], [1, 0, 3, 2]]
+        for edit, text in [
+            (lambda o: o["perms"].__setitem__(0, [7]), "module generator 1: expected 4 entries"),
+            (lambda o: o["perms"][0].__setitem__(0, 7), "module generator 1: entry 7 is not"),
+            (lambda o: o["perms"][1].__setitem__(0, True), "module generator 2: entry True is not"),
+            (lambda o: o["perms"][0].__setitem__(0, 1.0), "module generator 1: entry 1.0 is not"),
+            (lambda o: o["perms"][0].__setitem__(0, None), "module generator 1: entry None is not"),
+            (lambda o: o["perms"][0].__setitem__(0, -1), "module generator 1: entry -1 is not"),
+            (lambda o: o["perms"][1].__setitem__(0, 3), "module: generator 2 is not a permutation"),
+            (lambda o: o.__setitem__("perms", [[]] * 2), "module generator 1: expected 4 entries"),
+            (lambda o: o["perms"][0].pop(), "module generator 1: expected 4 entries, got 3"),
+            (lambda o: o["perms"].pop(), "module: expected 2 generators, got 1"),
+            (lambda o: o.__setitem__("generators", [[]]), "module: need integer dim and one of"),
+        ]:
+            obj = json.loads(json.dumps(good))
+            edit(obj)
+            with pytest.raises(FormatError, match=re.escape(text)):
+                module_from_obj(obj)
+        # vectors read as leaf arrays are refused with the text of lists
+        save_obj(tmp_path / "m.json", good)
+        for entry, text in [
+            (7, "module generator 2: entry 7 is not"),
+            (3, "module: generator 2 is not a permutation"),
+        ]:
+            for obj in (load_obj(tmp_path / "m.json"), ref_load_obj(tmp_path / "m.json")):
+                obj["perms"][1][0] = entry
+                with pytest.raises(FormatError, match=re.escape(text)):
+                    module_from_obj(obj)
 
     def test_detect_kind(self):
         assert detect_kind({"terms": []}) == "complex"
         assert detect_kind({"parts": []}) == "descriptor"
         assert detect_kind({"generators": [], "dim": 0}) == "module"
+        assert detect_kind({"perms": [], "dim": 0}) == "module"
         with pytest.raises(FormatError):
             detect_kind({"something": 1})
 
@@ -250,16 +282,20 @@ class TestCli:
 
     def test_info_golden_module(self, tmp_path, capsys):
         mod_path = tmp_path / "m.json"
-        mod_path.write_text(canonical_dumps(module_to_obj(free_module(Group(2, 1), 1))))
-        assert self.run("info", str(mod_path)) == 0
-        out = capsys.readouterr().out
-        assert out == (
-            "module file: p=2 rank=1 dim=2\n"
-            "validate: ok\n"
-            "free_rank: 1\n"
-            "radical series dims: 2 1 0\n"
-            "composition length: 2\n"
-        )
+        obj = module_to_obj(free_module(Group(2, 1), 1))
+        assert obj["perms"] == [[1, 0]]
+        # the same lines for the dense form of files written before index vectors
+        for form in (ref_densify(obj), obj):
+            mod_path.write_text(canonical_dumps(form))
+            assert self.run("info", str(mod_path)) == 0
+            out = capsys.readouterr().out
+            assert out == (
+                "module file: p=2 rank=1 dim=2\n"
+                "validate: ok\n"
+                "free_rank: 1\n"
+                "radical series dims: 2 1 0\n"
+                "composition length: 2\n"
+            )
 
     def test_info_golden_descriptor(self, tmp_path, capsys):
         group = Group(2, 2)
@@ -417,6 +453,46 @@ class TestCli:
         assert time.perf_counter() - t0 < 5
         assert "free_rank: 0" in capsys.readouterr().out
 
+    def test_a_dense_file_verifies_as_the_vector_file(self, tmp_path, capsys):
+        # files written before index vectors hold dense generators; the
+        # densified output of today's writer is such a file
+        obj = complex_to_obj(trivial_resolution(Group(3, 2), 4).complex, m=4)
+        dense = ref_densify(obj)
+        assert all("generators" in t and "perms" not in t for t in dense["terms"])
+        outs = []
+        for name, form in (("v.json", obj), ("d.json", dense)):
+            save_obj(tmp_path / name, form)
+            assert self.run("verify", str(tmp_path / name)) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "digest: ok" in outs[1].splitlines()
+
+    @pytest.mark.parametrize("verb", ["verify", "info", "trim"])
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (None, "entry None is not an index"),
+            (True, "entry True is not an index"),
+            (1.0, "entry 1.0 is not an index"),
+            (-1, "entry -1 is not an index"),
+            (2**64, "entry 18446744073709551616 is not an index"),
+            ("0", "entry '0' is not an index"),
+            ([0], "entry [0] is not an index"),
+        ],
+        ids=["null", "true", "float", "negative", "2^64", "string", "list"],
+    )
+    def test_bad_vector_entries_exit_2(self, tmp_path, capsys, verb, value, error):
+        obj = complex_to_obj(_k_plus_ke(Group(2, 2), 0), m=0)
+        obj["terms"][0]["perms"][0][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        argv = [verb, str(path)]
+        if verb == "trim":
+            argv += ["--free-rank", "1", "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: term 0 generator 1: {error}") and "Traceback" not in err
+
     def test_every_written_file_reverifies(self, tmp_path):
         mod_path = tmp_path / "m.json"
         res_path = tmp_path / "r.json"
@@ -542,18 +618,22 @@ class TestTrimInput:
     @pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
     def test_a_degree_0_term_that_is_not_a_module_exits_2(self, tmp_path, capsys, tagged):
         obj = complex_to_obj(_k_plus_ke(self.V4, 0), m=0)
+        dense = ref_densify(obj)
         dim = obj["terms"][0]["dim"]
-        # a 3-cycle: a permutation whose order does not divide 2
+        # a 3-cycle: a permutation whose order does not divide 2, written as
+        # a dense matrix and as an index vector
         cycle = np.zeros((dim, dim), dtype=np.int64)
         cycle[[1, 2, 0] + list(range(3, dim)), range(dim)] = 1
-        obj["terms"][0]["generators"][0] = cycle.ravel().tolist()
-        if not tagged:
-            del obj["tags"]
-        code, out_path = self.trim(tmp_path, obj)
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert "order does not divide p" in err and "internal" not in err
-        assert not out_path.exists()
+        dense["terms"][0]["generators"][0] = cycle.ravel().tolist()
+        obj["terms"][0]["perms"][0] = [1, 2, 0] + list(range(3, dim))
+        for form in (dense, obj):
+            if not tagged:
+                del form["tags"]
+            code, out_path = self.trim(tmp_path, form)
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert "order does not divide p" in err and "internal" not in err
+            assert not out_path.exists()
 
     def test_stored_tags_are_checked(self, tmp_path, capsys):
         obj = complex_to_obj(_k_plus_ke(self.V4, 2), m=2)
@@ -803,15 +883,18 @@ def assert_reads_like_json_load(path):
             assert fast == _cli_outcome([verb, str(path)])
 
 
-def _tagged_complex_text():
+def _tagged_complex_text(dense=False):
+    """A small tagged complex, its terms written as index vectors or, as
+    files were before them, as dense generators."""
     c = good_resolution(trivial_module(Group(3, 1), 1), 1).complex
-    return canonical_dumps(complex_to_obj(c, m=1))
+    obj = complex_to_obj(c, m=1)
+    return canonical_dumps(ref_densify(obj) if dense else obj)
 
 
 def _complex_with(token, *where):
     """The canonical text of a small tagged complex with ``token`` written at
-    the key path ``where``."""
-    obj = json.loads(_tagged_complex_text())
+    the key path ``where``, in the dense form where that path needs it."""
+    obj = json.loads(_tagged_complex_text(dense="generators" in where))
     node = obj
     for key in where[:-1]:
         node = node[key]
@@ -823,12 +906,13 @@ def _complex_with(token, *where):
 HOSTILE_LISTS = [
     "[01]", "[1,,2]", "[,1]", "[1,]", "[ 1, 2 ]", "[1 ,2]", "[12345678901]",
     "[9999999999]", f"[{2**63}]", f"[{2**64}]", "[-1]", "[true]", "[1.0]",
-    "[1e0]", "[1,-0]", "[]", "[[]]", "[0]", "[2,1,0]", "[1" + ",1" * 30 + "]",
+    "[1e0]", "[1,-0]", "[]", "[[]]", "[1,[0]]", "[0]", "[2,1,0]", "[1" + ",1" * 30 + "]",
     "[" + "7" * 5000 + "]",
 ]
 HOSTILE_PLACES = [
     ("differentials", 0),
     ("terms", 1, "generators", 0),
+    ("terms", 1, "perms", 0),
     ("augmentation", "matrix"),
     ("tags", 1, 0),
     ("tags", 1),
@@ -853,7 +937,11 @@ HOSTILE_FILES = {
     "nested-100000": "[" * 100000 + "]" * 100000,
     "unterminated": "[1,2",
     "empty-module": '{"dim":0,"generators":[[]],"p":2,"rank":1}',
+    "empty-perms-module": '{"dim":0,"p":2,"perms":[[]],"rank":1}',
     "module": canonical_dumps(module_to_obj(random_module(5, 2, 3, seed=4))),
+    "perms-module": canonical_dumps(module_to_obj(free_module(Group(3, 2), 1))),
+    "dense-complex": _tagged_complex_text(dense=True),
+    "complex": _tagged_complex_text(),
     "descriptor": canonical_dumps(
         descriptor_to_obj(PermutationDescriptor(Group(2, 2), all_subgroups(Group(2, 2))))
     ),
@@ -889,11 +977,12 @@ class TestReader:
 
     def test_canonical_lists_are_arrays(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(_tagged_complex_text())
-        obj = load_obj(path)
-        assert isinstance(obj["differentials"][0], np.ndarray)
-        assert isinstance(obj["terms"][0]["generators"][0], np.ndarray)
-        assert obj["tags"][0] == [[]]
+        for dense, key in ((True, "generators"), (False, "perms")):
+            path.write_text(_tagged_complex_text(dense))
+            obj = load_obj(path)
+            assert isinstance(obj["differentials"][0], np.ndarray)
+            assert isinstance(obj["terms"][0][key][0], np.ndarray)
+            assert obj["tags"][0] == [[]]
 
     @given(
         json_values,
@@ -910,15 +999,16 @@ class TestReader:
         assert_reads_like_json_load(scratch_file)
 
     @given(
+        st.booleans(),
         st.lists(
             st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.sampled_from(MUTATION_CHARS)),
             min_size=1,
             max_size=3,
-        )
+        ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_mutated_complex_files(self, scratch_file, edits):
-        text = _mutate(_tagged_complex_text(), edits)
+    def test_mutated_complex_files(self, scratch_file, dense, edits):
+        text = _mutate(_tagged_complex_text(dense), edits)
         scratch_file.write_text(text, encoding="utf-8", newline="")
         assert_reads_like_json_load(scratch_file)
 
@@ -951,15 +1041,16 @@ class TestReader:
     def test_arrays_are_freed_at_once(self, tmp_path):
         # a reference cycle through the scanner would keep them until gc runs
         path = tmp_path / "c.json"
-        path.write_text(_tagged_complex_text())
-        gc.disable()
-        try:
-            obj = load_obj(path)
-            refs = [weakref.ref(obj["differentials"][0]), weakref.ref(obj["terms"][1]["generators"][0])]
-            del obj
-            assert [r() for r in refs] == [None, None]
-        finally:
-            gc.enable()
+        for dense, key in ((True, "generators"), (False, "perms")):
+            path.write_text(_tagged_complex_text(dense))
+            gc.disable()
+            try:
+                obj = load_obj(path)
+                refs = [weakref.ref(obj["differentials"][0]), weakref.ref(obj["terms"][1][key][0])]
+                del obj
+                assert [r() for r in refs] == [None, None]
+            finally:
+                gc.enable()
 
 
 def _mutate(text, edits):

@@ -168,6 +168,16 @@ def test_one_use_site(name, home, owners):
     assert homes == [home]
 
 
+# A file holds a permutation module as index vectors: the writer makes a
+# dense generator only in ``_module_body``, for a module that is not one, and
+# the reader builds a module of vectors only in ``_module_body_from_obj``,
+# through the permutation proof of ``Module.from_perms``.
+def test_io_builds_vectors_and_generators_in_one_place():
+    tree = ast.parse((SRC / "io.py").read_text())
+    assert _references(tree, "from_perms") == ["_module_body_from_obj"]
+    assert _references(tree, "generator") == ["_module_body"]
+
+
 # One broadcast helper, ``linalg.kron``, forms every Kronecker product.
 def test_no_numpy_kron():
     sites = []
