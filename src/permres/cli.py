@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import cache
 
 import numpy as np
 
@@ -192,7 +193,9 @@ def cmd_trim(args) -> int:
     return EXIT_PASS
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: ``parse_args`` reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="permres",
         description="Finite permutation-module resolutions over elementary abelian p-groups",

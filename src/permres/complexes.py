@@ -15,6 +15,14 @@ and ``direct_sum_complexes`` take the multiset union of their inputs',
 homology dimensions, tag recognition and freeness, trusting none of them;
 ``check_tags`` compares the stored descriptors, composed or read from a file.
 
+``d-squared`` and ``exact`` read one pass up the complex, ``_rank_pass``,
+with d_0 the augmentation.  A vector of ker d_(j-1) is fixed by its
+coordinates off the pivot columns of d_(j-1), so those non-pivot
+coordinates embed ker d_(j-1).  Once d_(j-1) d_j = 0 is shown, d_j lands
+in that kernel, so its rows there have its rank and pivots, and their
+product with d_(j+1) is zero exactly when d_j d_(j+1) is.  The rows are
+restricted only above a zero product, so every rank and verdict is exact.
+
 Sign conventions (the certified statements are sign-independent):
 
 * cone(f)_j = Q_(j-1) (+) P_j with d(q, p) = (-d q, f(q) + d p);
@@ -28,7 +36,7 @@ from functools import cache
 
 from .errors import LiftFailed, NotResolution, PermresError
 from .groups import Group
-from .linalg import Mat, block_diag, block_matrix, solve
+from .linalg import Mat, block_diag, block_matrix, non_pivots, rank_profile, solve
 from .modules import (
     Module,
     ModuleMap,
@@ -138,18 +146,40 @@ def check_chain_map(f: ChainMap):
 # basic invariants
 
 
-def _homology(c: Complex) -> list[int]:
-    """[dim coker eps, dim H_0, ..., dim H_top], each rank taken once.
+def _rank_pass(c: Complex) -> tuple[list[int], list[bool]]:
+    """One elimination per map, bottom up: (ranks, squares).
+
+    ``ranks[j]`` is rank d_j for j = 0..top+1, with d_0 the augmentation
+    (0 without one) and d_(top+1) = 0; ``squares[j]`` says d_j d_(j+1) = 0
+    for j = 0..top-1.  Each map is taken on the rows off the pivots below
+    it where the product below is zero, whole otherwise (module docstring).
+    """
+    ranks, squares = [], []
+    rows = None  # the coordinates of C_(j-1) that embed ker d_(j-1), or None for all
+    for j in range(c.top + 1):
+        d = c.boundary(j)
+        if d is None:  # d_0 = 0 without an augmentation
+            ranks.append(0)
+            squares.append(True)
+            continue
+        m = d.matrix if rows is None else d.matrix.take_rows(rows)
+        r, pivots = rank_profile(m)
+        ranks.append(r)
+        if j < c.top:
+            zero = (m @ c.diffs[j].matrix).is_zero()
+            squares.append(zero)
+            rows = non_pivots(m.cols, pivots) if zero else None
+    return ranks + [0], squares[: c.top]
+
+
+def _homology(c: Complex, ranks: list[int] | None = None) -> list[int]:
+    """[dim coker eps, dim H_0, ..., dim H_top], from the ranks of ``_rank_pass``.
 
     Without an augmentation d_0 = 0 and the cokernel entry is 0.
     """
-    ranks = [0] * (c.top + 2)  # ranks[j] = rank d_j, with d_0 = augmentation
-    coker = 0
-    if c.aug is not None:
-        ranks[0] = c.aug.rank()
-        coker = c.aug.target.dim - ranks[0]
-    for j in range(1, c.top + 1):
-        ranks[j] = c.diffs[j - 1].rank()
+    if ranks is None:
+        ranks = _rank_pass(c)[0]
+    coker = 0 if c.aug is None else c.aug.target.dim - ranks[0]
     return [coker] + [c.terms[j].dim - ranks[j] - ranks[j + 1] for j in range(c.top + 1)]
 
 
@@ -474,18 +504,14 @@ def certify_resolution(
             break
     add("maps-intertwine", bad is None, bad or "")
 
-    bad = None
-    for j in range(2, c.top + 1):
-        if not (c.diffs[j - 2].matrix @ c.diffs[j - 1].matrix).is_zero():
-            bad = f"d_{j - 1} o d_{j} != 0"
-            break
-    if bad is None and c.aug is not None and c.top >= 1:
-        if not (c.aug.matrix @ c.diffs[0].matrix).is_zero():
-            bad = "eps o d_1 != 0"
+    ranks, squares = _rank_pass(c)
+    bad = next((f"d_{j} o d_{j + 1} != 0" for j in range(1, c.top) if not squares[j]), None)
+    if bad is None and c.top >= 1 and not squares[0]:
+        bad = "eps o d_1 != 0"
     add("d-squared", bad is None, bad or "")
 
     if c.aug is not None:
-        defect, *hdims = _homology(c)
+        defect, *hdims = _homology(c, ranks)
         bad = None
         if defect:
             bad = f"augmentation rank deficit {defect}"

@@ -10,10 +10,11 @@ Every p is a prime below 2^31 (``check_prime``), so the int64 products
 of two residues that elimination forms never overflow.
 
 ``rref``, ``row_space``, ``nullspace`` and ``solve`` read a reduced form
-off ``_echelon``, which clears one pivot column per step.  ``rank`` needs
-only a count: ``_rank`` takes every distinct leading column as a pivot
-at once and clears them all with products through ``_matmul_mod``, so
-its updates are BLAS products under the same bound and fallback.  On the
+off ``_echelon``, which clears one pivot column per step.  ``rank`` and
+``rank_profile`` need only the count and the pivot columns:
+``rank_profile`` takes every distinct leading column as a pivot at once
+and clears them all with products through ``_matmul_mod``, so its
+updates are BLAS products under the same bound and fallback.  On the
 ranks of the benchmark workloads it takes at most five such rounds.
 ``block_matrix`` is the one dense block layout, zero-filling the blocks
 not given: ``block_diag`` is its diagonal case, and the maps of cones,
@@ -301,8 +302,8 @@ def rref(m: Mat):
     return Mat._wrap(m.p, a), len(pivots), tuple(pivots)
 
 
-def _rank(a: np.ndarray, p: int) -> int:
-    """The rank of a reduced int64 array, eliminated in pivot rounds.
+def rank_profile(m: Mat) -> tuple[int, tuple[int, ...]]:
+    """(rank, pivot columns of the echelon form) of m, eliminated in pivot rounds.
 
     A round takes, for each distinct leading column of the nonzero rows,
     the first row that leads there.  Those rows R and their leading
@@ -315,22 +316,31 @@ def _rank(a: np.ndarray, p: int) -> int:
     more product forms the complement.
     Rows whose leading columns all differ are independent, so that case
     ends the loop with no product.
+
+    The pivots are the column rank profile: a leading column is not in
+    the span of the columns before it, since its row is zero on them, and
+    row operations keep every column relation, so a column of Q is a
+    pivot of A exactly when it is one of the complement.
     """
-    rank = 0
+    a, p = m.a, m.p
+    at = np.arange(m.cols)  # the column of m that each column of a is
+    found = []
     while True:
         a = a[a.any(axis=1)]
         if min(a.shape) <= 1:  # no row, or one row or column that is nonzero
-            return rank + min(a.shape)
+            if a.size:
+                found.append(int(at[(a[0] != 0).argmax()]))
+            break
         lead = (a != 0).argmax(axis=1)
         # a stable sort by leading column puts the first row of each group first
         order = lead.argsort(kind="stable")
         ordered = lead[order]
         first = np.ones(ordered.size, dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        if first.all():
-            return rank + a.shape[0]
         rows, cols = order[first], ordered[first]
-        rank += rows.size
+        found.extend(at[cols].tolist())
+        if first.all():
+            break
         pivots = a[rows]
         if p != 2:
             inv = [pow(v, -1, p) for v in a[rows, cols].tolist()]
@@ -339,16 +349,18 @@ def _rank(a: np.ndarray, p: int) -> int:
         keep[cols] = False
         o = a[order[~first]]
         y = o[:, cols]
-        m = -pivots[:, cols] % p
-        m.flat[:: rows.size + 1] = 0
-        while m.any():
-            y = (y + _matmul_mod(y, m, p)) % p
-            m = _matmul_mod(m, m, p)
+        mult = -pivots[:, cols] % p
+        mult.flat[:: rows.size + 1] = 0
+        while mult.any():
+            y = (y + _matmul_mod(y, mult, p)) % p
+            mult = _matmul_mod(mult, mult, p)
         a = (o[:, keep] - _matmul_mod(y, pivots[:, keep], p)) % p
+        at = at[keep]
+    return len(found), tuple(sorted(found))
 
 
 def rank(m: Mat) -> int:
-    return _rank(m.a, m.p)
+    return rank_profile(m)[0]
 
 
 def row_space(m: Mat) -> Mat:

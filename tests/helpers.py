@@ -63,6 +63,44 @@ def ref_matmul(a, b, p):
     return out
 
 
+def ref_certify_lines(p, dims, diffs, aug=None, target_dim=0):
+    """The ``d-squared`` and ``exact`` lines of a certificate, from a full
+    product of each adjacent pair and a rank of each map on all its rows.
+
+    ``dims`` are the term dims, ``diffs[j]`` the rows of d_(j+1) : C_(j+1) -> C_j
+    and ``aug`` the rows of the augmentation onto a target of ``target_dim``.
+    """
+
+    def line(name, bad):
+        return f"{name}: PASS" if bad is None else f"{name}: FAIL ({bad})"
+
+    def nonzero(a, b):
+        return any(any(row) for row in ref_matmul(a, b, p))
+
+    top = len(dims) - 1
+    bad = None
+    for j in range(2, top + 1):
+        if nonzero(diffs[j - 2], diffs[j - 1]):
+            bad = f"d_{j - 1} o d_{j} != 0"
+            break
+    if bad is None and aug is not None and top >= 1 and nonzero(aug, diffs[0]):
+        bad = "eps o d_1 != 0"
+    lines = [line("d-squared", bad)]
+    if aug is None:
+        return lines + [line("exact", "no augmentation")]
+    ranks = [ref_rank(aug, p)] + [ref_rank(d, p) for d in diffs] + [0]
+    bad = None
+    if target_dim - ranks[0]:
+        bad = f"augmentation rank deficit {target_dim - ranks[0]}"
+    else:
+        for j in range(top + 1):
+            h = dims[j] - ranks[j] - ranks[j + 1]
+            if h:
+                bad = f"dim H_{j} = {h}"
+                break
+    return lines + [line("exact", bad)]
+
+
 def ref_mat_pow(a, e, p):
     n = len(a)
     out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

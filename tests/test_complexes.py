@@ -1,5 +1,8 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permres import complexes, linalg, modules
 from permres.complexes import (
@@ -44,7 +47,7 @@ from permres.resolution import (
     trivial_resolution,
 )
 
-from helpers import ref_densify
+from helpers import ref_certify_lines, ref_densify, ref_rank
 from test_modules import cached_matrices
 
 C2 = Group(2, 1)
@@ -424,3 +427,123 @@ class TestCertify:
         # target M that is not a permutation module is scanned, once
         assert not any(cached_matrices(t) for t in c.terms)
         assert len(calls) == (0 if permutation_target else c.group.rank)
+
+
+def _square_zero_complex(p, seed, augmented, target, dims):
+    """Trivial C_p-modules with d^2 = 0: each map is a random combination of
+    a nullspace basis of the map below (eps, or the zero map without one)."""
+    rng = np.random.default_rng(seed)
+    group = Group(p, 1)
+    terms = tuple(trivial_module(group, n) for n in dims)
+    below = Mat(p, rng.integers(0, p, (target, dims[0]) if augmented else (0, dims[0])))
+    aug = ModuleMap(terms[0], trivial_module(group, target), below) if augmented else None
+    diffs = []
+    for j in range(1, len(dims)):
+        null = linalg.nullspace(below)
+        below = null @ Mat(p, rng.integers(0, p, (null.cols, dims[j])))
+        diffs.append(ModuleMap(terms[j], terms[j - 1], below))
+    return Complex(terms, tuple(diffs), aug)
+
+
+BUILT = {
+    "trivial(2,2,3)": lambda: trivial_resolution(V4, 3).complex,
+    "good(2,2,2,1)": lambda: good_resolution(random_module(2, 2, 2, 1), 1).complex,
+    "good(3,1,2,1)": lambda: good_resolution(random_module(3, 1, 2, 1), 1).complex,
+    "good(5,1,2,1)": lambda: good_resolution(random_module(5, 1, 2, 1), 1).complex,
+}
+
+
+@cache
+def _built(name):
+    return BUILT[name]()
+
+
+def _changed(c, changes):
+    """c with entry ``flat`` of map k (the augmentation at k = 0, d_k above it)
+    raised by ``delta``, for each (k, flat, delta); empty maps are left alone."""
+    maps = [c.aug, *c.diffs]
+    for k, flat, delta in changes:
+        f = maps[k]
+        if f is None or not f.matrix.a.size:
+            continue
+        a = f.matrix.a.copy()
+        a.flat[flat % a.size] += delta
+        maps[k] = ModuleMap(f.source, f.target, Mat(c.group.p, a))
+    return Complex(c.terms, tuple(maps[1:]), maps[0], c.tags)
+
+
+@st.composite
+def square_zero_complexes(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dims = [draw(st.integers(0, 6))]
+    for _ in range(draw(st.integers(0, 4))):
+        # about the dim of the kernel below, so that some degrees are exact
+        dims.append(max(0, dims[-1] + draw(st.integers(-3, 1))))
+    augmented = draw(st.integers(0, 4)) > 0
+    return _square_zero_complex(
+        p, draw(st.integers(0, 2**32 - 1)), augmented, draw(st.integers(0, 3)), dims
+    )
+
+
+@st.composite
+def corrupted_complexes(draw):
+    """A complex of either kind with 1-3 entries changed below, at and above one degree."""
+    if draw(st.booleans()):
+        c = draw(square_zero_complexes())
+    else:
+        c = _built(draw(st.sampled_from(sorted(BUILT))))
+    j = draw(st.integers(0, c.top))
+    changes = st.lists(
+        st.tuples(
+            st.integers(max(0, j - 1), min(c.top, j + 1)),
+            st.integers(0, 10**6),
+            st.integers(1, c.group.p - 1),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+    return _changed(c, draw(changes))
+
+
+def _oracle_lines(c):
+    return ref_certify_lines(
+        c.group.p,
+        list(c.dims()),
+        [d.matrix.a.tolist() for d in c.diffs],
+        None if c.aug is None else c.aug.matrix.a.tolist(),
+        0 if c.aug is None else c.aug.target.dim,
+    )
+
+
+def _pass_lines(c):
+    lines = certify_resolution(c).lines()
+    return [line for line in lines if line.split(":")[0] in ("d-squared", "exact")]
+
+
+class TestRankPass:
+    """The one bottom-up pass against full products and ranks on all rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_zero_complexes())
+    def test_square_zero_complexes(self, c):
+        assert _pass_lines(c) == _oracle_lines(c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corrupted_complexes())
+    def test_corrupted_complexes(self, c):
+        assert _pass_lines(c) == _oracle_lines(c)
+
+    @pytest.mark.parametrize("name", sorted(BUILT))
+    def test_built_resolutions(self, name):
+        c = _built(name)
+        assert _pass_lines(c) == _oracle_lines(c) == ["d-squared: PASS", "exact: PASS"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_homology_after_a_nonzero_product(self, k):
+        # one entry of d_k changed: d_(k-1) d_k or d_k d_(k+1) is no longer 0
+        c = _changed(_built("trivial(2,2,3)"), [(k, 5, 1)])
+        assert _pass_lines(c) == _oracle_lines(c)
+        maps = (c.aug, *c.diffs)
+        ranks = [ref_rank(f.matrix.a.tolist(), 2) for f in maps] + [0]
+        want = [n - ranks[j] - ranks[j + 1] for j, n in enumerate(c.dims())]
+        assert homology_dims(c) == want

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ref_canonical_dumps, ref_densify, ref_load_obj, ref_unflat_error
-from permres import cli, complexes, modules, resolution
+from permres import cli, complexes, config, modules, resolution
 from permres.cli import main
 from permres.complexes import (
     CertReport,
@@ -161,6 +161,23 @@ def _cli_process(*argv, **env_overrides):
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
+
+    def test_parser_keeps_nothing_between_calls(self, tmp_path, monkeypatch, capsys):
+        res = resolution.trivial_resolution(Group(2, 1), 2)
+        path = tmp_path / "res.json"
+        save_obj(path, complex_to_obj(res.complex, m=1))
+        seen = []
+        certify = cli.certify_resolution
+
+        def recorded(c, m=None):
+            seen.append((m, config.dim_cap()))
+            return certify(c, m=m)
+
+        monkeypatch.setattr(cli, "certify_resolution", recorded)
+        assert main(["--cap-dim", "50", "verify", str(path), "--m", "3"]) == 0
+        assert main(["verify", str(path)]) == 0
+        assert seen == [(3, 50), (1, config.DEFAULT_DIM_CAP)]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_random_build_verify_cycle(self, tmp_path, capsys):
         mod_path = tmp_path / "mod.json"

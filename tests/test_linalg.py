@@ -10,7 +10,6 @@ from permres.groups import Group
 from permres.linalg import (
     Mat,
     _echelon,
-    _rank,
     block_diag,
     block_matrix,
     check_prime,
@@ -21,6 +20,7 @@ from permres.linalg import (
     permutation_matrix,
     permutation_vector,
     rank,
+    rank_profile,
     rref,
     row_space,
     solve,
@@ -124,7 +124,7 @@ class TestRank:
     @example((3, np.array([[1, 1, 2, 0], [0, 2, 1, 1], [2, 0, 0, 1], [0, 1, 1, 2]], dtype=np.int64)))
     def test_equals_reference_on_sparse_arrays(self, pa):
         p, a = pa
-        assert _rank(a, p) == ref_rank(a.tolist(), p)
+        assert rank_profile(Mat(p, a))[0] == ref_rank(a.tolist(), p)
         assert rank(Mat(p, a)) == ref_rank(a.tolist(), p)
 
     @pytest.mark.parametrize("p", [2, 3, 7, 65521])
@@ -134,11 +134,12 @@ class TestRank:
             # rank at most k, with equal rows repeated
             a = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
             a[rows // 2] = a[0]
-            assert _rank(a, p) == ref_rank(a.tolist(), p), (rows, cols, k)
+            assert rank_profile(Mat(p, a))[0] == ref_rank(a.tolist(), p), (rows, cols, k)
 
     def test_equals_echelon_on_resolution_maps(self):
         for label, p, a in _resolution_matrices():
-            assert _rank(a, p) == len(_echelon(a, p, False)[1]), label
+            pivots = _echelon(a, p, False)[1]
+            assert rank_profile(Mat(p, a)) == (len(pivots), tuple(pivots)), label
 
     def test_calls_no_per_pivot_elimination(self, monkeypatch):
         c = trivial_resolution(Group(2, 3), 5).complex
@@ -150,6 +151,44 @@ class TestRank:
 
         monkeypatch.setattr(linalg, "_echelon", no_echelon)
         assert rank(d) == want
+
+
+def _ref_pivots(a, p):
+    """The leading column of each nonzero row of ``ref_reduce``'s echelon form."""
+    rows, r = ref_reduce(a.tolist(), p)
+    return tuple(next(c for c, x in enumerate(row) if x) for row in rows[:r])
+
+
+@st.composite
+def profile_arrays(draw):
+    """(p, array) over the primes of the field range, edge shapes included,
+    with repeated and combined rows so that pivot rounds are needed."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 65521, 2**31 - 1]))
+    rows = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
+    cols = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
+    entry = st.one_of(st.sampled_from([0, 0, 0, 1, p - 1]), st.integers(0, p - 1))
+    a = np.array(
+        draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64
+    ).reshape(rows, cols)
+    if rows >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a[i] = (a[i] + draw(st.integers(0, p - 1)) * a[j]) % p
+    return p, a
+
+
+class TestRankProfile:
+    @settings(max_examples=300, deadline=None)
+    @given(profile_arrays())
+    @example((2, np.zeros((0, 3), dtype=np.int64)))
+    @example((3, np.zeros((3, 0), dtype=np.int64)))
+    @example((7, np.array([[0, 0, 4]], dtype=np.int64)))
+    @example((11, np.array([[0], [3], [5]], dtype=np.int64)))
+    @example((65521, np.array([[0, 1, 2], [0, 2, 4], [1, 0, 0]], dtype=np.int64)))
+    def test_equals_reference_pivots(self, pa):
+        p, a = pa
+        want = _ref_pivots(a, p)
+        assert rank_profile(Mat(p, a)) == (len(want), want)
+        assert rank(Mat(p, a)) == ref_rank(a.tolist(), p)
 
 
 class TestRref:

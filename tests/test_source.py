@@ -78,7 +78,9 @@ def _references(tree, name):
 # lift or ``trim`` reads its basis, and in the certificate.  Coset
 # representatives are built as tuples only for coset modules and realized
 # bases; a recognized basis is the orbit walk's index arrays.  The per-pivot
-# elimination serves the reduced forms alone; ``rank`` eliminates in rounds.
+# elimination serves the reduced forms alone; ``rank`` eliminates in rounds,
+# through ``rank_profile``, which the certificate's one pass up a complex
+# calls on each map, and that pass serves both ``d-squared`` and ``exact``.
 @pytest.mark.parametrize(
     "name, home, owners",
     [
@@ -150,6 +152,18 @@ def _references(tree, name):
                 ("linalg.py", "solve"),
             ],
             id="_echelon-rref-row_space-nullspace-solve",
+        ),
+        pytest.param(
+            "rank_profile",
+            "linalg.py",
+            [("complexes.py", "_rank_pass"), ("linalg.py", "rank")],
+            id="rank_profile-_rank_pass-rank",
+        ),
+        pytest.param(
+            "_rank_pass",
+            "complexes.py",
+            [("complexes.py", "_homology"), ("complexes.py", "certify_resolution")],
+            id="_rank_pass-_homology-certify_resolution",
         ),
     ],
 )
