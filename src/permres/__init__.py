@@ -46,6 +46,7 @@ from .permutation import (
     mackey_tensor,
     realize,
     recognize,
+    recognize_all,
     tensor_descriptor,
 )
 from .complexes import (

@@ -9,7 +9,11 @@ of terms is one ``block_sum``, and a map one ``linalg.block_matrix`` of
 its blocks by position (no numpy here).  Tags are descriptors: ``cone``
 and ``direct_sum_complexes`` take the multiset union of their inputs',
 ``tensor_complexes`` the Mackey rule, and none recognizes a term.
-``lift_chain_map`` recognizes each term it solves from, for its basis.
+``lift_chain_map`` recognizes the terms it solves from, for their bases,
+and ``check_tags`` and ``tag_complex`` all the terms, each in one
+``recognize_all`` walk.  Where some term has no permutation basis, the
+lift and the check recognize one term at a time instead, so a failure
+at a lower degree is still the one reported.
 ``truncate`` drops one degree of a complex it takes to be exact.
 ``certify_resolution`` is the one place that recomputes d^2 = 0, all
 homology dimensions, tag recognition and freeness, trusting none of them;
@@ -47,7 +51,13 @@ from .modules import (
     tensor,
     trivial_module,
 )
-from .permutation import PermutationDescriptor, recognize, solve_equivariant, tensor_descriptor
+from .permutation import (
+    PermutationDescriptor,
+    recognize,
+    recognize_all,
+    solve_equivariant,
+    tensor_descriptor,
+)
 
 
 @dataclass(frozen=True)
@@ -216,7 +226,7 @@ def free_up_to(c: Complex, m: int) -> bool:
 
 def tag_complex(c: Complex) -> Complex:
     """Attach recognized tags to every term (all must be permutation bases)."""
-    return Complex(c.terms, c.diffs, c.aug, tuple(recognize(t).descriptor for t in c.terms))
+    return Complex(c.terms, c.diffs, c.aug, tuple(t.descriptor for t in recognize_all(c.terms)))
 
 
 def _union(group: Group, descriptors) -> PermutationDescriptor:
@@ -393,9 +403,9 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     f.target with top degree <= ell, and a lift exists (projectivity
     guarantees one when q is free up to the top degree of pc).  Each
     component is the canonical ``solve_equivariant`` out of its term,
-    recognized for its basis (NotPermutationBasis if it has none);
-    degrees above pc vanish and the final compatibility is asserted
-    rather than solved.
+    recognized for its basis (NotPermutationBasis if it has none), all
+    in one walk before the first solve; degrees above pc vanish and the
+    final compatibility is asserted rather than solved.
     """
     if q.aug is None or pc.aug is None:
         raise LiftFailed("both complexes must be augmented")
@@ -403,12 +413,18 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
         raise LiftFailed("augmentation targets do not match the map being lifted")
     if pc.top > ell:
         raise LiftFailed(f"target complex has top degree {pc.top} > ell = {ell}")
+    sources = q.terms[: pc.top + 1]
+    try:
+        bases = recognize_all(sources)
+    except PermresError:  # recognized per degree below, after the solves beneath it
+        bases = (None,) * len(sources)
     components: list[ModuleMap | None] = []
     prev = f.matrix
     for j in range(q.top + 1):
         rhs = prev @ q.boundary(j).matrix
         if j <= pc.top:
-            x = solve_equivariant(recognize(q.terms[j]), pc.terms[j], pc.boundary(j).matrix, rhs)
+            tag = recognize(q.terms[j]) if bases[j] is None else bases[j]
+            x = solve_equivariant(tag, pc.terms[j], pc.boundary(j).matrix, rhs)
             if x is None:
                 raise LiftFailed(f"no lift exists at degree {j}")
             components.append(ModuleMap(q.terms[j], pc.terms[j], x))
@@ -457,10 +473,18 @@ class CertReport:
 
 
 def check_tags(terms, descriptors) -> str | None:
-    """None if each term is recognized with its descriptor, else "degree j: ..."."""
-    for j, (term, want) in enumerate(zip(terms, descriptors)):
+    """None if each term is recognized with its descriptor, else "degree j: ...".
+
+    All terms are recognized in one walk; where some term has no basis,
+    one at a time, so a lower degree's differing tag is still named first.
+    """
+    try:
+        bases = recognize_all(terms)
+    except PermresError:
+        bases = (None,) * len(terms)
+    for j, (term, want, tag) in enumerate(zip(terms, descriptors, bases)):
         try:
-            got = recognize(term).descriptor
+            got = (recognize(term) if tag is None else tag).descriptor
         except PermresError as exc:  # NotPermutationBasis names the generator and row
             return f"degree {j}: {exc}"
         if got != want:

@@ -5,22 +5,22 @@ order dividing p, acting on column coordinate vectors.  Everything here
 is pure and immutable; all submodule bases follow fixed canonical
 conventions (rref rows, nullspace columns) so outputs are deterministic.
 A permutation module is stored as it is built: one index vector per
-generator, ``coset_module`` the one builder of k(E/H), and
-``block_sum`` and ``tensor`` of such modules again vectors, so no built
-term holds a dense generator; files write and read such a module as
-its vectors too.  ``free_module`` and ``permutation.realize`` are block
-sums of ``coset_module``.  A module given by matrices (a file's dense
-generators, the input M and what is computed from it) keeps them, and
-``Module.perms`` is the one scan that decides which of them are
-permutation matrices.  ``Module.defect`` is the one relations
-check (``validate_module``) of each module.
+generator, ``coset_module`` the one builder of k(E/H), memoised per
+subgroup, and ``block_sum`` and ``tensor`` of such modules again
+vectors, so no built term holds a dense generator; files write and read
+such a module as its vectors too.  ``free_module`` and
+``permutation.realize`` are block sums of ``coset_module``.  A module
+given by matrices (a file's dense generators, the input M and what is
+computed from it) keeps them, and ``Module.perms`` is the one scan that
+decides which of them are permutation matrices.  ``Module.defect`` is
+the one relations check (``validate_module``) of each module.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -292,8 +292,16 @@ def coset_module(h: Subgroup) -> Module:
     """k(E/H) on ``h.coset_reps()``: generator i permutes them by ``h.translations()[i]``.
 
     The one builder of k(E/H), kept as its index vectors; every realized
-    permutation module is a ``block_sum`` of these.
+    permutation module is a ``block_sum`` of these.  Each is built once per
+    subgroup (``_coset_module``), and the dim cap is checked on every call.
     """
+    config.check_dim_cap(h.index)
+    return _coset_module(h)
+
+
+@lru_cache(maxsize=None)
+def _coset_module(h: Subgroup) -> Module:
+    """k(E/H) itself: immutable, its vectors write-protected, so one serves every call."""
     return Module.from_perms(h.group, h.translations())
 
 

@@ -2,14 +2,17 @@
 
 A descriptor is a multiset of subgroups, one per transitive summand; its
 realization is the ``block_sum`` of one ``modules.coset_module`` per
-part, the one builder of k(E/H), so a realized module is stored as
-index vectors.  ``recognize`` goes the other way.  It reads the module's
-``perms``: the vectors a built module holds, proved permutations when
-it was built, or the one scan of a module given by matrices.  It reads
-its ``defect``, the relations of E checked once per module.  Then it
-moves every basis point through E in one ``modules.element_images``
-walk (which follows ``Group.steps``), names each orbit by its smallest
-point and builds one ``Subgroup`` per distinct stabilizer.  Coset
+part, the one builder of k(E/H), memoised per subgroup, so a realized
+module is stored as index vectors and each k(E/H) is built once.
+``recognize_all`` goes the other way, for all the terms of a complex
+at once, and ``recognize`` is its one-module case.  It reads each
+module's ``perms``: the vectors a built module holds, proved
+permutations when it was built, or the one scan of a module given by
+matrices.  It reads each ``defect``, the relations of E checked once
+per module.  Then it moves every basis point of their block sum
+through E in one ``modules.element_images`` walk (which follows
+``Group.steps``), names each orbit by its smallest point and builds one
+``Subgroup`` per distinct stabilizer of the whole complex.  Coset
 representatives are the vectors supported on the non-pivot coordinates
 of the subgroup's rref basis, in lexicographic order, so realizations
 are bit-reproducible.
@@ -17,7 +20,7 @@ are bit-reproducible.
 A complex's tags are descriptors.  A ``TaggedModule`` adds the basis:
 two int arrays naming each basis vector's part and the lexicographic
 index in E of its coset's representative, made by ``realize`` or read
-off the orbit walk by ``recognize``, only where a solve reads them.
+off the orbit walk, only where a solve reads them.
 ``mackey_tensor`` is memoised: a tensor complex meets each pair of parts
 in many degrees.
 """
@@ -71,7 +74,7 @@ class PermutationDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class TaggedModule:
-    """A module together with a permutation basis, from ``realize`` or ``recognize``.
+    """A module together with a permutation basis, from ``realize`` or ``recognize_all``.
 
     ``parts`` lists the transitive summands.  Basis vector k stands for
     the coset g H of H = ``parts[part_of[k]]`` whose canonical
@@ -108,22 +111,43 @@ def realize(d: PermutationDescriptor) -> TaggedModule:
 def recognize(m: Module) -> TaggedModule:
     """Certify the basis-level permutation structure and read off the tag.
 
+    The one-module case of ``recognize_all``, which says what it raises
+    and how the parts and the basis are read.
+    """
+    return recognize_all((m,))[0]
+
+
+def recognize_all(modules) -> tuple[TaggedModule, ...]:
+    """``recognize`` of each module, from one orbit walk over their block sum.
+
     Raises NotPermutationBasis (with the offending generator and row) if
     some generator matrix is not a permutation matrix, and InternalError
     if the generators do not satisfy the relations of E or an orbit's size
-    is not the index of its stabilizer.  Parts are ordered by their
-    smallest basis index; coset representatives are canonical.  One walk
-    over E moves every basis point at once.  Each orbit is named by its
-    smallest point, its stabilizer is the set of elements fixing that
-    point, and one ``Subgroup`` serves every orbit with the same
-    stabilizer.
+    is not the index of its stabilizer; the modules are checked in order,
+    so the error is the first failing module's own.  Parts are ordered by
+    their smallest basis index; coset representatives are canonical.  One
+    walk over E moves every basis point of every module at once: orbits
+    never cross the blocks of a block sum, so each module's orbits are
+    those starting in its block.  Each orbit is named by its smallest
+    point, its stabilizer is the set of elements fixing that point, and
+    one ``Subgroup`` serves every orbit with the same stabilizer.
     """
-    group = m.group
-    perms = m.require_perms()
-    bad = m.defect
-    if bad is not None:
-        raise InternalError(f"the generators do not act as E: {bad}")
-    d = m.dim
+    modules = tuple(modules)
+    if not modules:
+        return ()
+    group = modules[0].group
+    if any(m.group != group for m in modules):
+        raise GroupMismatch("recognition across different groups")
+    blocks = []
+    for m in modules:
+        perms = np.array(m.require_perms(), dtype=np.int64).reshape(group.rank, m.dim)
+        bad = m.defect
+        if bad is not None:
+            raise InternalError(f"the generators do not act as E: {bad}")
+        blocks.append(perms)
+    offsets = np.cumsum([0] + [m.dim for m in modules])
+    perms = np.concatenate([b + off for b, off in zip(blocks, offsets)], axis=1)
+    d = int(offsets[-1])
     elements = np.array(group.elements(), dtype=np.int64).reshape(group.order, group.rank)
     # images[idx(v), k]: where the group element v sends basis point k
     images = element_images(group, perms, np.arange(d))
@@ -134,20 +158,29 @@ def recognize(m: Module) -> TaggedModule:
     keys = fixes.view(np.dtype((np.void, group.order))).ravel()
     _, first_orbit, stab_of = np.unique(keys, return_index=True, return_inverse=True)
     stabs = [Subgroup(group, elements[fixes[j]]) for j in first_orbit]
+    # module k's orbits are those numbered first[k] to first[k + 1] - 1
+    first = np.searchsorted(starts, offsets)
     index = np.array([h.index for h in stabs], dtype=np.int64)[stab_of]
     size = np.bincount(part_of, minlength=starts.size)
     if not np.array_equal(size, index):
         j = int(np.flatnonzero(size != index)[0])
-        raise InternalError(
-            f"orbit of index {starts[j]} has size {size[j]}, expected {index[j]}"
-        )
+        local = starts[j] - offsets[np.searchsorted(offsets, starts[j], side="right") - 1]
+        raise InternalError(f"orbit of index {local} has size {size[j]}, expected {index[j]}")
     # The elements carrying a start to a point form a coset v + H.  Its
     # lexicographically first element is zero on the pivots of H's rref
     # basis (each pivot entry can be cleared without touching an earlier
     # coordinate), so ``argmax`` finds the index of ``H.reduce(v)`` in E.
     element = (walks[:, part_of] == np.arange(d)).argmax(axis=0)
-    parts = tuple(stabs[k] for k in stab_of.tolist())
-    return TaggedModule(module=m, parts=parts, part_of=part_of, element=element)
+    stab_of = stab_of.tolist()
+    return tuple(
+        TaggedModule(
+            module=m,
+            parts=tuple(stabs[s] for s in stab_of[first[k] : first[k + 1]]),
+            part_of=part_of[offsets[k] : offsets[k + 1]] - first[k],
+            element=element[offsets[k] : offsets[k + 1]],
+        )
+        for k, m in enumerate(modules)
+    )
 
 
 def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):

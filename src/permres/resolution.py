@@ -23,9 +23,10 @@ built (only the inputs of the public ``rotate`` and ``splice``), and
 independently, exactly once.  Tags are descriptors, stated where
 ``realize`` builds a term and composed by the Mackey rule and multiset
 union; a permutation basis is made only where a solve reads one
-(``rotate``, ``lift_chain_map``, ``trim``).  ``trim`` certifies its own
-output, and certifies its input only when that fails, to tell an invalid
-input from a fault of its own.
+(``rotate``; ``lift_chain_map``, in one walk over the terms it solves
+from; ``trim``).  ``trim`` certifies its own output, and certifies its
+input only when that fails, to tell an invalid input from a fault of
+its own.
 Every lift out of a permutation module (the cover map in ``rotate``, each
 degree of the chain-map lift) is one ``solve_equivariant``: it solves for
 the image of each coset H among the H-fixed points of the target and

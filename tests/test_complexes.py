@@ -24,7 +24,7 @@ from permres.complexes import (
     tensor_complexes,
     truncate,
 )
-from permres.errors import NotPermutationBasis, NotResolution
+from permres.errors import LiftFailed, NotPermutationBasis, NotResolution
 from permres.groups import Group, Subgroup
 from permres.io import complex_from_obj, complex_to_obj
 from permres.linalg import Mat, inverse
@@ -79,6 +79,34 @@ def conjugated(mod):
     with pytest.raises(NotPermutationBasis):
         recognize(out)
     return out
+
+
+def with_term(c, j, term):
+    """c with the term of degree j replaced by a module of the same dim, its matrices kept."""
+    terms = c.terms[:j] + (term,) + c.terms[j + 1 :]
+    diffs = tuple(ModuleMap(terms[k + 1], terms[k], d.matrix) for k, d in enumerate(c.diffs))
+    return Complex(terms, diffs, ModuleMap(terms[0], c.aug.target, c.aug.matrix), c.tags)
+
+
+def non_permutation(group, d):
+    """A module of dim d whose first generator is a unipotent, non-permutation matrix."""
+    a = np.eye(d, dtype=np.int64)
+    a[0, 1] = 1
+    identity = Mat.identity(group.p, d)
+    return Module(group, (Mat(group.p, a),) + (identity,) * (group.rank - 1))
+
+
+def wrong_order(group, d):
+    """A vector module of dim d whose first generator is a (p + 1)-cycle."""
+    sigma = np.arange(d)
+    sigma[: group.p + 1] = np.roll(sigma[: group.p + 1], 1)
+    return Module.from_perms(group, [sigma] + [np.arange(d)] * (group.rank - 1))
+
+
+def with_wrong_tag(c, j):
+    tags = list(c.tags)
+    tags[j] = PermutationDescriptor(c.group, (Subgroup.full(c.group),))
+    return Complex(c.terms, c.diffs, c.aug, tuple(tags))
 
 
 class TestHomology:
@@ -246,6 +274,7 @@ class TestMackeyTags:
             raise AssertionError("a term was recognized")
 
         monkeypatch.setattr(complexes, "recognize", no_recognize)
+        monkeypatch.setattr(complexes, "recognize_all", no_recognize)
         assert tensor_complexes(a, b).tags is not None
 
 
@@ -309,6 +338,25 @@ class TestLift:
         assert check_module_map(q.aug) is None
         with pytest.raises(NotPermutationBasis):
             lift_chain_map(identity_map(k), q, periodic_piece_c2(), ell=2)
+
+    @pytest.mark.parametrize(
+        "free, bad_at, error",
+        [
+            # no lift out of k(E/H) onto kE at degree 0, before the bad degree 1
+            (True, 1, (LiftFailed, "no lift exists at degree 0")),
+            (True, 0, (NotPermutationBasis, "generator 1 is not a permutation matrix")),
+            # a lift onto k(E/H) exists at degree 0, so degree 1 is named
+            (False, 1, (NotPermutationBasis, "generator 1 is not a permutation matrix")),
+        ],
+    )
+    def test_the_lowest_failing_degree_is_reported(self, free, bad_at, error):
+        q = periodic_complex(V4, 1, 2)
+        pc = trivial_resolution(V4, 1).complex if free else q
+        f = identity_map(q.aug.target)
+        bad = with_term(q, bad_at, non_permutation(V4, q.terms[bad_at].dim))
+        kind, text = error
+        with pytest.raises(kind, match=text):
+            lift_chain_map(f, bad, pc, pc.top)
 
     def test_lift_across_shorter_target(self):
         q = tag_complex(periodic_piece_c2())
@@ -379,6 +427,75 @@ class TestCertify:
             assert report.first_failure() == CheckResult(
                 "tags", False, f"degree {degree}: recognized tag differs from the stored tag"
             )
+
+    # the first failing degree is named, whether its tag differs or it has no
+    # permutation basis, with the other lines unchanged
+    @pytest.mark.parametrize(
+        "bad, bad_at, tag_at, lines",
+        [
+            (
+                non_permutation,
+                3,
+                1,
+                [
+                    "terms-valid: PASS",
+                    "maps-intertwine: FAIL (degree 3: map does not intertwine generator 1)",
+                    "tags: FAIL (degree 1: recognized tag differs from the stored tag)",
+                    "free-up-to: FAIL (m = 1)",
+                ],
+            ),
+            (
+                non_permutation,
+                1,
+                3,
+                [
+                    "terms-valid: PASS",
+                    "maps-intertwine: FAIL (degree 1: map does not intertwine generator 1)",
+                    "tags: FAIL (degree 1: generator 1 is not a permutation matrix "
+                    "(first offending row 0))",
+                    "free-up-to: PASS (m = 1)",
+                ],
+            ),
+            (
+                wrong_order,
+                2,
+                0,
+                [
+                    "terms-valid: FAIL (degree 2: generator 1: order does not divide p)",
+                    "maps-intertwine: FAIL (degree 2: map does not intertwine generator 1)",
+                    "tags: FAIL (degree 0: recognized tag differs from the stored tag)",
+                    "free-up-to: FAIL (m = 1)",
+                ],
+            ),
+            (
+                wrong_order,
+                0,
+                2,
+                [
+                    "terms-valid: FAIL (degree 0: generator 1: order does not divide p)",
+                    "maps-intertwine: FAIL (degree 1: map does not intertwine generator 1)",
+                    "tags: FAIL (degree 0: the generators do not act as E: "
+                    "generator 1: order does not divide p)",
+                    "free-up-to: PASS (m = 1)",
+                ],
+            ),
+        ],
+        ids=["tag-then-term", "term-then-tag", "tag-then-order", "order-then-tag"],
+    )
+    def test_a_wrong_tag_and_a_bad_term(self, bad, bad_at, tag_at, lines):
+        c = trivial_resolution(V4, 3).complex
+        corrupted = with_wrong_tag(with_term(c, bad_at, bad(V4, c.terms[bad_at].dim)), tag_at)
+        terms_valid, maps, tags, free = lines
+        assert certify_resolution(corrupted, m=1).lines() == [
+            "augmented: PASS",
+            terms_valid,
+            maps,
+            "d-squared: PASS",
+            "exact: PASS",
+            "euler-characteristic: PASS (chi = 1, target dim = 1)",
+            tags,
+            free,
+        ]
 
     def test_euler_diagnostic(self):
         k = trivial_module(C2, 1)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ref_canonical_dumps, ref_densify, ref_load_obj, ref_unflat_error
-from permres import cli, complexes, config, modules, resolution
+from permres import cli, complexes, config, modules, permutation, resolution
 from permres.cli import main
 from permres.complexes import (
     CertReport,
@@ -190,6 +190,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "VERDICT: PASS" in out
         assert "digest: ok" in out
+
+    def test_caps_hold_after_a_build_fills_the_coset_memo(self, tmp_path, capsys):
+        mod_path = tmp_path / "mod.json"
+        res_path = tmp_path / "res.json"
+        assert self.run("random", "--p", "2", "--r", "2", "--dim", "3", "--seed", "7", "--out", str(mod_path)) == 0
+        # under the default caps: builds k(E/H) for the subgroups of V4, kE (dim 4) among them
+        assert self.run("build", str(mod_path), "--m", "1", "--out", str(res_path)) == 0
+        res_path.unlink()
+        capsys.readouterr()
+        code = self.run("--cap-dim", "3", "build", str(mod_path), "--m", "1", "--out", str(res_path))
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: module dimension 4 exceeds cap 3") and "Traceback" not in err
+        assert not res_path.exists()
 
     def test_random_determinism(self, tmp_path):
         a = tmp_path / "a.json"
@@ -666,10 +680,14 @@ class TestTrimInput:
         res = _k_plus_ke(self.V4, 0)
         assert res.top == 4
         calls = []
-        for owner in (complexes, resolution):
-            recognize = owner.recognize
+        # every walk goes through ``recognize_all``: ``recognize`` looks it up
+        # in ``permutation``, the lift and the certificate in ``complexes``
+        for owner in (complexes, permutation):
+            recognize_all = owner.recognize_all
             monkeypatch.setattr(
-                owner, "recognize", lambda m, f=recognize: calls.append(m.dim) or f(m)
+                owner,
+                "recognize_all",
+                lambda ms, f=recognize_all: calls.extend(m.dim for m in ms) or f(ms),
             )
         code, out_path = self.trim(tmp_path, complex_to_obj(res, m=0))
         assert code == 0, capsys.readouterr().err

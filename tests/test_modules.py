@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from permres import config
 from permres.complexes import certify_resolution, single_term_complex
-from permres.errors import NotPermutationBasis
+from permres.errors import CapExceeded, NotPermutationBasis
 from permres.groups import Group, Subgroup, all_subgroups
 from permres.linalg import Mat, permutation_matrix, permutation_vector, rank
 from permres.modules import (
@@ -107,6 +107,14 @@ class TestConstructors:
             for a, e_i in zip(mod.action, eye):
                 moved = [[h.contains((x + e_i - y) % group.p) for x in reps] for y in reps]
                 assert a.a.tolist() == np.array(moved, dtype=np.int64).tolist()
+
+    def test_each_coset_module_is_built_once_and_capped_on_every_call(self):
+        h = Subgroup.trivial(V4)
+        assert coset_module(h) is coset_module(Subgroup(V4, np.zeros((0, 2), dtype=np.int64)))
+        assert not coset_module(h)._vectors.flags.writeable
+        # kE (dim 4) is in the memo now; a cap below its dim still refuses it
+        with config.limits(dim_cap=3), pytest.raises(CapExceeded, match="dimension 4 exceeds cap 3"):
+            coset_module(h)
 
     @pytest.mark.parametrize("group", [C2, V4, C3_2], ids=str)
     @pytest.mark.parametrize("t", [0, 1, 3])

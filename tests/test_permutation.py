@@ -1,23 +1,34 @@
 import itertools
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from helpers import ref_free_rank, ref_permutation_vector, ref_recognize
 from test_acceptance import END_TO_END_CORPUS
 from test_io_cli import VERIFY_INPUTS
 
 from permres import modules
 from permres.complexes import ChainMap, cone
-from permres.errors import InternalError, NotPermutationBasis
+from permres.errors import GroupMismatch, InternalError, NotPermutationBasis
 from permres.groups import Group, Subgroup, all_subgroups
 from permres.linalg import Mat, permutation_matrix, permutation_vector
-from permres.modules import Module, free_module, free_rank, identity_map, tensor, trivial_module
+from permres.modules import (
+    Module,
+    free_module,
+    free_rank,
+    identity_map,
+    permutation_submodule,
+    tensor,
+    trivial_module,
+)
 from permres.permutation import (
     PermutationDescriptor,
     element_images,
     mackey_tensor,
     realize,
     recognize,
+    recognize_all,
     tensor_descriptor,
 )
 from permres.random_modules import random_module
@@ -223,8 +234,13 @@ def assert_matches_oracles(mod):
         with pytest.raises(NotPermutationBasis):
             recognize(mod)
         return
-    tag = recognize(mod)
-    parts, basis_map = ref_recognize(action, p)
+    assert_tag_matches_oracle(recognize(mod))
+
+
+def assert_tag_matches_oracle(tag):
+    """The tag's parts and basis arrays are ``ref_recognize``'s, read one orbit at a time."""
+    mod = tag.module
+    parts, basis_map = ref_recognize([a.a.tolist() for a in mod.action], mod.group.p)
     assert [part.basis.a.tolist() for part in tag.parts] == parts
     # the oracle's (part index, coset rep) pairs as the tag's two arrays
     elements = mod.group.elements()
@@ -304,6 +320,148 @@ class TestAgainstOracles:
         monkeypatch.setattr(Subgroup, "__init__", counted)
         tag = recognize(top)
         assert len(calls) == len(set(tag.parts)) < len(tag.parts)
+
+
+@cache
+def subgroups_up_to(group, index):
+    return tuple(h for h in all_subgroups(group) if h.index <= index)
+
+
+@st.composite
+def member(draw, group):
+    """A module for a batch: realized, realized on a shuffled dense basis, a
+    tensor of realizations (whose Mackey parts interleave), a
+    ``permutation_submodule`` on some orbits of one, or zero-dimensional."""
+    kind = draw(st.sampled_from(["realized", "shuffled", "tensor", "restricted", "zero"]))
+    if kind == "zero":
+        return trivial_module(group, 0)
+
+    def realized(index, size):
+        pool = st.sampled_from(subgroups_up_to(group, index))
+        parts = draw(st.lists(pool, min_size=1, max_size=size))
+        return realize(PermutationDescriptor(group, tuple(parts))).module
+
+    if kind == "realized":
+        return realized(25, 3)
+    if kind == "shuffled":
+        return shuffled(realized(25, 3), draw(st.integers(0, 9)))
+    mod = tensor(realized(5, 2), realized(5, 2))
+    if kind == "tensor":
+        return mod
+    part_of = recognize(mod).part_of
+    keep = draw(st.lists(st.integers(0, part_of.max()), min_size=1, unique=True))
+    return permutation_submodule(mod, np.flatnonzero(np.isin(part_of, keep)))
+
+
+@st.composite
+def batches(draw):
+    group = Group(draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3)))
+    return draw(st.lists(member(group), min_size=1, max_size=6))
+
+
+def non_permutation(group, i):
+    """Generator i a unipotent Jordan block, the others the identity: not a permutation module."""
+    p = group.p
+    action = [Mat.identity(p, 2)] * group.rank
+    action[i] = Mat(p, [[1, 1], [0, 1]])
+    return Module(group, tuple(action))
+
+
+def wrong_order(group):
+    """Generator 1 a (p + 1)-cycle, so its order does not divide p."""
+    return Module.from_perms(group, [np.roll(np.arange(group.p + 1), 1)] * group.rank)
+
+
+def non_commuting(group):
+    """Generators 1 and 2 p-cycles on overlapping points: each of order p, not commuting."""
+    sigma = np.arange(group.p + 1)
+    tau = sigma.copy()
+    sigma[: group.p] = np.roll(sigma[: group.p], 1)
+    tau[1:] = np.roll(tau[1:], 1)
+    return Module.from_perms(group, [sigma, tau] + [np.arange(group.p + 1)] * (group.rank - 2))
+
+
+class TestRecognizeAll:
+    """One walk over a batch equals ``recognize`` of each module, and the oracle."""
+
+    # drawing a batch builds its modules
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(batches())
+    def test_batch_equals_each_module_alone(self, mods):
+        tags = recognize_all(mods)
+        assert len(tags) == len(mods)
+        for mod, tag in zip(mods, tags):
+            alone = recognize(mod)
+            assert tag.module is mod
+            assert tag.parts == alone.parts
+            for got, want in ((tag.part_of, alone.part_of), (tag.element, alone.element)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
+            assert_tag_matches_oracle(tag)
+
+    def test_one_subgroup_per_distinct_stabilizer_of_the_batch(self, monkeypatch):
+        terms = trivial_resolution(C3_2, 6).complex.terms
+        calls = []
+        init = Subgroup.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Subgroup, "__init__", counted)
+        tags = recognize_all(terms)
+        assert len(calls) == len({h for tag in tags for h in tag.parts})
+
+    def test_empty_batch(self):
+        assert recognize_all([]) == ()
+
+    def test_groups_must_agree(self):
+        with pytest.raises(GroupMismatch):
+            recognize_all([trivial_module(V4, 1), trivial_module(C3_2, 1)])
+
+    BAD = [
+        (
+            lambda g: non_permutation(g, 0),
+            NotPermutationBasis,
+            "generator 1 is not a permutation matrix (first offending row 0)",
+        ),
+        (
+            lambda g: non_permutation(g, g.rank - 1),
+            NotPermutationBasis,
+            "generator {rank} is not a permutation matrix (first offending row 0)",
+        ),
+        (
+            wrong_order,
+            InternalError,
+            "the generators do not act as E: generator 1: order does not divide p",
+        ),
+        (
+            non_commuting,
+            InternalError,
+            "the generators do not act as E: commutativity i=1 j=2",
+        ),
+    ]
+
+    @pytest.mark.parametrize("group", [V4, C3_2, Group(5, 2)], ids=lambda g: f"{g.p}^{g.rank}")
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    @pytest.mark.parametrize("bad", range(len(BAD)))
+    def test_a_bad_module_raises_its_own_error(self, group, at, bad):
+        make, kind, text = self.BAD[bad]
+        good = [
+            realize(desc(group, *all_subgroups(group)[:2])).module,
+            trivial_module(group, 0),
+            free_module(group, 1),
+        ]
+        mods = good[:at] + [make(group)] + good[at:]
+        # and a later bad module of the other kind, which must not be the one named
+        make_later = self.BAD[(bad + 2) % len(self.BAD)][0]
+        for batch in (mods, mods + [make_later(group)]):
+            with pytest.raises(kind) as info:
+                recognize_all(batch)
+            assert str(info.value) == text.format(rank=group.rank)
+        with pytest.raises(kind) as alone:
+            recognize(make(group))
+        assert str(alone.value) == str(info.value)
 
 
 class TestMackey:

@@ -75,7 +75,10 @@ def _references(tree, name):
 # dense norm is formed only off permutation modules and where ``strip_free``
 # needs its columns.  A complex's tags are descriptors, composed without
 # recognition; a term is recognized only to tag a complex on request, where a
-# lift or ``trim`` reads its basis, and in the certificate.  Coset
+# lift or ``trim`` reads its basis, and in the certificate.  A complex's terms
+# are recognized in one ``recognize_all`` walk; ``recognize`` is its
+# one-module case, called alone by ``trim`` and, where some term has no
+# basis, term by term in the lift and the certificate.  Coset
 # representatives are built as tuples only for coset modules and realized
 # bases; a recognized basis is the orbit walk's index arrays.  The per-pivot
 # elimination serves the reduced forms alone; ``rank`` eliminates in rounds,
@@ -103,9 +106,9 @@ def _references(tree, name):
                 ("modules.py", "fixed_points"),
                 ("modules.py", "orbit_columns"),
                 ("modules.py", "free_rank"),
-                ("permutation.py", "recognize"),
+                ("permutation.py", "recognize_all"),
             ],
-            id="element_images-fixed_points-orbit_columns-free_rank-recognize",
+            id="element_images-fixed_points-orbit_columns-free_rank-recognize_all",
         ),
         pytest.param(
             "_perm_pow",
@@ -120,15 +123,25 @@ def _references(tree, name):
             id="norm_matrix-free_rank-strip_free",
         ),
         pytest.param(
-            "recognize",
+            "recognize_all",
             "permutation.py",
             [
                 ("complexes.py", "tag_complex"),
                 ("complexes.py", "lift_chain_map"),
                 ("complexes.py", "check_tags"),
+                ("permutation.py", "recognize"),
+            ],
+            id="recognize_all-tag_complex-lift_chain_map-check_tags-recognize",
+        ),
+        pytest.param(
+            "recognize",
+            "permutation.py",
+            [
+                ("complexes.py", "lift_chain_map"),
+                ("complexes.py", "check_tags"),
                 ("resolution.py", "trim"),
             ],
-            id="recognize-tag_complex-lift_chain_map-check_tags-trim",
+            id="recognize-lift_chain_map-check_tags-trim",
         ),
         pytest.param(
             "coset_reps",
