@@ -35,7 +35,8 @@ Any other module is written {dim, generators}, each generator a flat
 row-major matrix.  Both forms are read, so files written densely by
 earlier versions still load; a ``perms`` body is checked with
 ``Module.from_perms``, which copies its vectors into one array, and no
-matrix is made from it.  Complex terms and the augmentation target are
+matrix is made from it; a dense body of permutation matrices loads as
+vectors too.  Complex terms and the augmentation target are
 module bodies; a term may also be, on input only, {parts: [...],
 realize: true}, to be realized on load.  Differentials and the
 augmentation matrix are flat row-major lists, their shapes implied by
@@ -138,8 +139,8 @@ def _unflat(p, rows, cols, entries, what) -> Mat:
 def _module_body(m: Module) -> dict:
     """A module's file body: its index vectors when every generator is a
     permutation, else its dense generators."""
-    if all(sigma is not None for sigma in m.perms):
-        return {"dim": m.dim, "perms": [sigma.tolist() for sigma in m.perms]}
+    if m.perms is not None:
+        return {"dim": m.dim, "perms": m.perms.tolist()}
     return {"dim": m.dim, "generators": [_flat(m.generator(i)) for i in range(m.group.rank)]}
 
 

@@ -4,16 +4,18 @@ A module is given by r commuting generator matrices of multiplicative
 order dividing p, acting on column coordinate vectors.  Everything here
 is pure and immutable; all submodule bases follow fixed canonical
 conventions (rref rows, nullspace columns) so outputs are deterministic.
-A permutation module is stored as it is built: one index vector per
-generator, ``coset_module`` the one builder of k(E/H), memoised per
-subgroup, and ``block_sum`` and ``tensor`` of such modules again
-vectors, so no built term holds a dense generator; files write and read
-such a module as its vectors too.  ``free_module`` and
-``permutation.realize`` are block sums of ``coset_module``.  A module
-given by matrices (a file's dense generators, the input M and what is
-computed from it) keeps them, and ``Module.perms`` is the one scan that
-decides which of them are permutation matrices.  ``Module.defect`` is
-the one relations check (``validate_module``) of each module.
+A module whose generators are all permutation matrices is stored as
+one index vector per generator, however it was made, and keeps no
+matrix; any other module (the input M, its kernels and its quotients)
+keeps its matrices.  ``coset_module`` is the one builder of k(E/H),
+memoised per subgroup, and ``block_sum`` and ``tensor`` of permutation
+modules are again vectors, so no built term holds a dense generator;
+files write such a module as its vectors too, and a dense body of
+permutation matrices loads as vectors.  ``free_module`` and
+``permutation.realize`` are block sums of ``coset_module``.
+``Module(group, action)`` scans its matrices once, when it is made, and
+``Module.defect`` is the one relations check (``validate_module``) of
+each module.
 """
 
 from __future__ import annotations
@@ -50,21 +52,21 @@ from .linalg import (
 class Module:
     """An E-representation: one generator per standard generator of E.
 
-    ``Module(group, action)`` stores dense generator matrices: a file's
-    ``generators``, the input M and whatever is computed from it.
-    ``Module.from_perms`` stores a permutation module as it is built or
-    read from a file's ``perms``, one index vector sigma per generator
-    (A e_x = e_sigma[x]) as a row of one rank x dim array, each proved a
-    permutation when the module is made.  ``action`` reads the matrices
-    in either form; a module built from vectors makes them afresh on
-    every read and keeps none.  Two modules are equal when
-    their generators are, whichever form each side holds.
+    A module whose generators are all permutation matrices keeps them as
+    ``perms``, one index vector sigma per generator (A e_x = e_sigma[x])
+    as a row of one write-protected rank x dim array, and no matrix;
+    ``action`` and ``generator`` make the matrices afresh on every read.
+    Any other module keeps its matrices and has ``perms = None``.  The
+    two constructors alone decide the form: ``Module(group, action)``
+    scans the matrices once, and ``Module.from_perms`` proves each vector
+    a permutation.  So the form follows from the generators, and two
+    modules are equal when their ``perms`` are, or else their matrices.
     """
 
     group: Group
     dim: int
     _matrices: tuple[Mat, ...] | None
-    _vectors: np.ndarray | None
+    perms: np.ndarray | None
 
     def __init__(self, group: Group, action):
         action = tuple(action)
@@ -75,7 +77,14 @@ class Module:
             if a.p != group.p or a.shape != (d, d):
                 raise ValueError("generator matrices must be square, equal size, over F_p")
         config.check_dim_cap(d)
-        self.__dict__.update(group=group, dim=d, _matrices=action, _vectors=None)
+        # the one scan, up to the first generator that is no permutation
+        perms = list(itertools.takewhile(lambda s: s is not None, map(permutation_vector, action)))
+        if len(perms) < len(action):
+            self.__dict__.update(group=group, dim=d, _matrices=action, perms=None)
+            return
+        vectors = np.array(perms, dtype=np.int64)
+        vectors.setflags(write=False)
+        self.__dict__.update(group=group, dim=d, _matrices=None, perms=vectors)
 
     @classmethod
     def from_perms(cls, group: Group, perms) -> "Module":
@@ -99,38 +108,20 @@ class Module:
         vectors.setflags(write=False)
         config.check_dim_cap(d)
         m = object.__new__(cls)
-        m.__dict__.update(group=group, dim=d, _matrices=None, _vectors=vectors)
+        m.__dict__.update(group=group, dim=d, _matrices=None, perms=vectors)
         return m
 
     def generator(self, i: int) -> Mat:
-        """The matrix of generator i (0-based), made afresh for a module built from vectors."""
-        if self._matrices is not None:
+        """The matrix of generator i (0-based), made afresh for a permutation module."""
+        if self.perms is None:
             return self._matrices[i]
-        return permutation_matrix(self.group.p, self._vectors[i])
+        return permutation_matrix(self.group.p, self.perms[i])
 
     @property
     def action(self) -> tuple[Mat, ...]:
-        if self._matrices is not None:
+        if self.perms is None:
             return self._matrices
         return tuple(self.generator(i) for i in range(self.group.rank))
-
-    @cached_property
-    def perms(self) -> tuple[np.ndarray | None, ...]:
-        """Each generator's permutation vector, or None if it is not a permutation matrix.
-
-        A module built from vectors holds them, proved permutations when it
-        was built; for stored matrices this is the one scan, derived from
-        the write-protected matrices themselves.  No producer sets it, so
-        whatever reads it still proves the permutation structure it
-        relies on.
-        """
-        if self._vectors is not None:
-            return tuple(self._vectors)
-        perms = tuple(permutation_vector(a) for a in self._matrices)
-        for sigma in perms:
-            if sigma is not None:
-                sigma.setflags(write=False)
-        return perms
 
     @cached_property
     def defect(self) -> str | None:
@@ -138,15 +129,17 @@ class Module:
         identity of E that the generators fail, or None."""
         return validate_module(self)
 
-    def require_perms(self) -> tuple[np.ndarray, ...]:
+    def require_perms(self) -> np.ndarray:
         """``perms`` when every generator is a permutation matrix.
 
         Otherwise raises NotPermutationBasis, naming the first generator
         that is not one and its first offending row.
         """
-        for i, sigma in enumerate(self.perms):
-            if sigma is None:
-                raise NotPermutationBasis(i, first_non_permutation_row(self._matrices[i]))
+        if self.perms is None:
+            for i, a in enumerate(self._matrices):
+                row = first_non_permutation_row(a)
+                if row is not None:
+                    raise NotPermutationBasis(i, row)
         return self.perms
 
     def __eq__(self, other):
@@ -156,19 +149,13 @@ class Module:
             return NotImplemented
         if (self.group, self.dim) != (other.group, other.dim):
             return False
-        if self._matrices is not None and other._matrices is not None:
+        if self.perms is None or other.perms is None:
+            # the generators decide the form, so a module of each form compares unequal
             return self._matrices == other._matrices
-        # one side holds vectors, so equal generators are permutations on both
-        return all(
-            s is not None and t is not None and np.array_equal(s, t)
-            for s, t in zip(self.perms, other.perms)
-        )
+        return np.array_equal(self.perms, other.perms)
 
     def __hash__(self):
-        gens = tuple(
-            hash(self._matrices[i]) if sigma is None else np.asarray(sigma, np.int64).tobytes()
-            for i, sigma in enumerate(self.perms)
-        )
+        gens = hash(self._matrices) if self.perms is None else self.perms.tobytes()
         return hash((self.group, self.dim, gens))
 
     def __repr__(self):
@@ -177,18 +164,18 @@ class Module:
 
 def _act(m: Module, i: int, x: Mat) -> Mat:
     """A_i x.  A generator stored as sigma moves the rows: (A x)[sigma[y]] = x[y]."""
-    if m._vectors is None:
+    if m.perms is None:
         return m._matrices[i] @ x
     out = np.empty_like(x.a)
-    out[m._vectors[i]] = x.a
+    out[m.perms[i]] = x.a
     return Mat._wrap(x.p, out)
 
 
 def _act_right(x: Mat, m: Module, i: int) -> Mat:
     """x A_i.  A generator stored as sigma gathers the columns: (x A)[:, y] = x[:, sigma[y]]."""
-    if m._vectors is None:
+    if m.perms is None:
         return x @ m._matrices[i]
-    return Mat._wrap(x.p, x.a[:, m._vectors[i]])
+    return Mat._wrap(x.p, x.a[:, m.perms[i]])
 
 
 @dataclass(frozen=True)
@@ -242,14 +229,15 @@ def zero_map(source: Module, target: Module) -> ModuleMap:
 def check_module_map(f: ModuleMap):
     """None if f intertwines the two actions, else a report string.
 
-    Where both generators are permutations sigma (source) and tau
-    (target), f A_s = A_t f reads f[tau[y], sigma[x]] = f[y, x]: one
-    gather, no product.  Otherwise each side is a product, or a gather
-    where that side's generator is stored as a vector.
+    Between two permutation modules, sigma (source) and tau (target),
+    f A_s = A_t f reads f[tau[y], sigma[x]] = f[y, x]: one gather, no
+    product.  Otherwise each side is a product, or a gather on the side
+    that is a permutation module.
     """
-    for i, (sigma, tau) in enumerate(zip(f.source.perms, f.target.perms)):
+    sigma, tau = f.source.perms, f.target.perms
+    for i in range(f.source.group.rank):
         if sigma is not None and tau is not None:
-            ok = np.array_equal(f.matrix.a[np.ix_(tau, sigma)], f.matrix.a)
+            ok = np.array_equal(f.matrix.a[np.ix_(tau[i], sigma[i])], f.matrix.a)
         else:
             ok = _act_right(f.matrix, f.source, i) == _act(f.target, i, f.matrix)
         if not ok:
@@ -330,26 +318,24 @@ def _perm_pow(sigma: np.ndarray, e: int) -> np.ndarray:
 def validate_module(m: Module):
     """None if the module invariants hold, else the first failed identity.
 
-    A generator that is a permutation matrix is checked on its vector
-    sigma (A e_x = e_sigma[x], so A B is sigma_A[sigma_B]); any other
-    generator, and every pair involving one, by dense products, which
-    only a module with stored matrices can need.  Callers read the
-    verdict once per module, as ``Module.defect``.
+    A permutation module is checked on its vectors sigma (A e_x =
+    e_sigma[x], so A B is sigma_A[sigma_B]); any other module by dense
+    products of the matrices it keeps.  Callers read the verdict once
+    per module, as ``Module.defect``.
     """
-    d, p = m.dim, m.group.p
-    for i, sigma in enumerate(m.perms):
-        if sigma is None:
-            ok = mat_pow(m.action[i], p).is_identity()
+    d, p, perms, action = m.dim, m.group.p, m.perms, m._matrices
+    for i in range(m.group.rank):
+        if perms is None:
+            ok = mat_pow(action[i], p).is_identity()
         else:
-            ok = np.array_equal(_perm_pow(sigma, p), np.arange(d))
+            ok = np.array_equal(_perm_pow(perms[i], p), np.arange(d))
         if not ok:
             return f"generator {i + 1}: order does not divide p"
     for i, j in itertools.combinations(range(m.group.rank), 2):
-        si, sj = m.perms[i], m.perms[j]
-        if si is not None and sj is not None:
-            ok = np.array_equal(si[sj], sj[si])
+        if perms is None:
+            ok = action[i] @ action[j] == action[j] @ action[i]
         else:
-            ok = m.action[i] @ m.action[j] == m.action[j] @ m.action[i]
+            ok = np.array_equal(perms[i][perms[j]], perms[j][perms[i]])
         if not ok:
             return f"commutativity i={i + 1} j={j + 1}"
     return None
@@ -470,16 +456,16 @@ class DirectSum:
 def block_sum(group: Group, mods) -> Module:
     """The block-diagonal direct sum of the modules, in order; one module is its own sum.
 
-    When every summand is stored as vectors, so is the sum: the vectors
-    are concatenated, each shifted by the dims before it.
+    When every summand is a permutation module, so is the sum: the
+    vectors are concatenated, each shifted by the dims before it.
     """
     if any(m.group != group for m in mods):
         raise GroupMismatch("direct sum across different groups")
     if len(mods) == 1:
         return mods[0]
-    if all(m._vectors is not None for m in mods):
+    if all(m.perms is not None for m in mods):
         offsets = itertools.accumulate((m.dim for m in mods), initial=0)
-        shifted = [m._vectors + off for m, off in zip(mods, offsets)]
+        shifted = [m.perms + off for m, off in zip(mods, offsets)]
         empty = np.zeros((group.rank, 0), dtype=np.int64)
         return Module.from_perms(group, np.concatenate([empty, *shifted], axis=1))
     action = tuple(block_diag(group.p, [m.generator(i) for m in mods]) for i in range(group.rank))
@@ -505,14 +491,14 @@ def direct_sum(m: Module, n: Module) -> DirectSum:
 def tensor(m: Module, n: Module) -> Module:
     """Diagonal action; basis index (a, b) -> a * dim(n) + b.
 
-    Of two modules stored as vectors sigma and tau, the tensor is stored
-    as the vectors sigma(a) * dim(n) + tau(b).
+    Of two permutation modules sigma and tau, the tensor is the
+    permutation module sigma(a) * dim(n) + tau(b).
     """
     if m.group != n.group:
         raise GroupMismatch("tensor across different groups")
     config.check_dim_cap(m.dim * n.dim)
-    if m._vectors is not None and n._vectors is not None:
-        pairs = m._vectors[:, :, None] * n.dim + n._vectors[:, None, :]
+    if m.perms is not None and n.perms is not None:
+        pairs = m.perms[:, :, None] * n.dim + n.perms[:, None, :]
         return Module.from_perms(m.group, pairs.reshape(m.group.rank, -1))
     action = tuple(a.kron(b) for a, b in zip(m.action, n.action))
     return Module(m.group, action)
@@ -647,7 +633,7 @@ def orbit_columns(m: Module, vecs: np.ndarray) -> np.ndarray:
     group, p = m.group, m.group.p
     d, t = vecs.shape
     walk = np.empty((group.order, d, t), dtype=np.int64)
-    if all(sigma is not None for sigma in m.perms):
+    if m.perms is not None:
         images = element_images(group, m.perms, np.arange(d))
         walk[np.arange(group.order)[:, None], images] = vecs % p
     else:
@@ -716,9 +702,8 @@ def free_rank(m: Module) -> int:
     ``element_images`` walk finds them.  Without the relations the walk
     need not be an action, so any other module takes the norm matrix.
     """
-    perms = m.perms
-    if all(sigma is not None for sigma in perms) and m.defect is None:
-        images = element_images(m.group, perms, np.arange(m.dim))
+    if m.perms is not None and m.defect is None:
+        images = element_images(m.group, m.perms, np.arange(m.dim))
         regular = (images[1:] != images[0]).all(axis=0)
         return int(np.count_nonzero(regular)) // m.group.order
     return rank(norm_matrix(m))

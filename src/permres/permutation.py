@@ -6,10 +6,9 @@ part, the one builder of k(E/H), memoised per subgroup, so a realized
 module is stored as index vectors and each k(E/H) is built once.
 ``recognize_all`` goes the other way, for all the terms of a complex
 at once, and ``recognize`` is its one-module case.  It reads each
-module's ``perms``: the vectors a built module holds, proved
-permutations when it was built, or the one scan of a module given by
-matrices.  It reads each ``defect``, the relations of E checked once
-per module.  Then it moves every basis point of their block sum
+module's ``perms``, the vectors every permutation module holds, proved
+permutations when it was made, and its ``defect``, the relations of E
+checked once per module.  Then it moves every basis point of their block sum
 through E in one ``modules.element_images`` walk (which follows
 ``Group.steps``), names each orbit by its smallest point and builds one
 ``Subgroup`` per distinct stabilizer of the whole complex.  Coset
@@ -138,15 +137,13 @@ def recognize_all(modules) -> tuple[TaggedModule, ...]:
     group = modules[0].group
     if any(m.group != group for m in modules):
         raise GroupMismatch("recognition across different groups")
-    blocks = []
     for m in modules:
-        perms = np.array(m.require_perms(), dtype=np.int64).reshape(group.rank, m.dim)
+        m.require_perms()
         bad = m.defect
         if bad is not None:
             raise InternalError(f"the generators do not act as E: {bad}")
-        blocks.append(perms)
     offsets = np.cumsum([0] + [m.dim for m in modules])
-    perms = np.concatenate([b + off for b, off in zip(blocks, offsets)], axis=1)
+    perms = np.concatenate([m.perms + off for m, off in zip(modules, offsets)], axis=1)
     d = int(offsets[-1])
     elements = np.array(group.elements(), dtype=np.int64).reshape(group.order, group.rank)
     # images[idx(v), k]: where the group element v sends basis point k

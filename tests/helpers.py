@@ -126,6 +126,29 @@ def ref_permutation_vector(a):
     return [[a[y][x] for y in range(n)].index(1) for x in range(n)]
 
 
+def ref_action(mod):
+    """The dense generators of a module (lists of rows), read from ``.action``:
+    the oracle side of a test, whichever form the module keeps."""
+    return [a.a.tolist() for a in mod.action]
+
+
+def ref_non_permutation(action):
+    """(generator index, offending row) of the first generator (a list of
+    rows) that is no permutation matrix, or None.  The row is the first
+    that is not one 1 among 0s; when every row is, the second row hitting
+    the first column that is not one 1 among 0s (or row 0 if none hits it)."""
+    for i, a in enumerate(action):
+        if ref_permutation_vector(a) is not None:
+            continue
+        for y, row in enumerate(a):
+            if sorted(row) != [0] * (len(row) - 1) + [1]:
+                return i, y
+        col = next(x for x in range(len(a)) if sum(row[x] for row in a) != 1)
+        hits = [y for y, row in enumerate(a) if row[col]]
+        return i, hits[1] if len(hits) > 1 else hits[0] if hits else 0
+    return None
+
+
 def ref_block_matrix(heights, widths, parts):
     """The row lists of the block matrix with parts[i, j] at block (i, j), zero elsewhere."""
     out = []

@@ -47,7 +47,13 @@ from permres.resolution import (
     trivial_resolution,
 )
 
-from helpers import ref_certify_lines, ref_densify, ref_rank
+from helpers import (
+    ref_action,
+    ref_certify_lines,
+    ref_densify,
+    ref_permutation_vector,
+    ref_rank,
+)
 from test_modules import cached_matrices
 
 C2 = Group(2, 1)
@@ -512,38 +518,59 @@ class TestCertify:
             return trivial_resolution(V4, 3)
         return good_resolution(random_module(3, 2, 3, seed=4), 1)
 
-    @pytest.mark.parametrize("permutation_target", [True, False])
-    def test_each_module_is_scanned_once(self, monkeypatch, permutation_target):
-        res = self._resolution(permutation_target)
-        # a round trip through a dense file gives modules whose perms are
-        # not cached yet
-        loaded = complex_from_obj(ref_densify(complex_to_obj(res.complex, m=res.m)))
-        c = loaded.complex
+    @staticmethod
+    def _scanned(monkeypatch):
+        """The matrices ``permutation_vector`` is called on in ``modules``."""
         calls = []
         scan = modules.permutation_vector
         monkeypatch.setattr(modules, "permutation_vector", lambda a: calls.append(a) or scan(a))
-        # permres verify: the certificate, which checks the stored tags
-        assert c.tags is not None
-        assert certify_resolution(c, m=res.m).ok
+        return calls
+
+    @staticmethod
+    def _scan_length(mod):
+        """How many generators a module made from matrices scans: all of a
+        permutation module's, else those up to the first that is no permutation."""
+        found = [ref_permutation_vector(a) is not None for a in ref_action(mod)]
+        return len(found) if all(found) else found.index(False) + 1
+
+    @pytest.mark.parametrize("permutation_target", [True, False])
+    def test_each_module_is_scanned_once(self, monkeypatch, permutation_target):
+        res = self._resolution(permutation_target)
+        obj = ref_densify(complex_to_obj(res.complex, m=res.m))
+        # a dense file: each body is scanned once, as it is read
+        calls = self._scanned(monkeypatch)
+        c = complex_from_obj(obj).complex
         maps = c.diffs + (c.aug,)
         ends = c.terms + tuple(f.source for f in maps) + tuple(f.target for f in maps)
-        assert len(calls) == c.group.rank * len({id(x) for x in ends})
+        bodies = {id(x): x for x in ends}.values()
+        assert len({id(a) for a in calls}) == len(calls)
+        assert len(calls) == sum(map(self._scan_length, bodies))
+        assert all(x.perms is not None for x in c.terms)
+        assert (c.aug.target.perms is not None) == permutation_target
+        # permres verify: the certificate, which checks the stored tags, scans nothing
+        calls.clear()
+        assert c.tags is not None
+        assert certify_resolution(c, m=res.m).ok
+        assert calls == []
 
     @pytest.mark.parametrize("permutation_target", [True, False])
     def test_a_vector_file_makes_no_generator_matrix(self, monkeypatch, permutation_target):
         res = self._resolution(permutation_target)
-        c = complex_from_obj(complex_to_obj(res.complex, m=res.m)).complex
-        calls = []
-        scan = modules.permutation_vector
-        monkeypatch.setattr(modules, "permutation_vector", lambda a: calls.append(a) or scan(a))
+        obj = complex_to_obj(res.complex, m=res.m)
+        calls = self._scanned(monkeypatch)
         for owner in (modules, linalg):
             monkeypatch.setattr(owner, "permutation_matrix", lambda *a: pytest.fail("a matrix"))
+        c = complex_from_obj(obj).complex
+        # only a target M that is not a permutation module is scanned, once,
+        # as it is read, and never again
+        target = c.aug.target
+        assert len(calls) == (0 if permutation_target else self._scan_length(target))
+        calls.clear()
         assert c.tags is not None
         assert certify_resolution(c, m=res.m).ok
-        # every term is read as index vectors, and keeps no matrix; only a
-        # target M that is not a permutation module is scanned, once
+        assert calls == []
+        # every term is read as index vectors, and keeps no matrix
         assert not any(cached_matrices(t) for t in c.terms)
-        assert len(calls) == (0 if permutation_target else c.group.rank)
 
 
 def _square_zero_complex(p, seed, augmented, target, dims):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from functools import cache
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from permres.modules import (
     orbit_columns,
     omega,
     omega_iter,
+    permutation_submodule,
     projective_cover,
     quotient,
     radical,
@@ -47,12 +49,14 @@ from permres.random_modules import random_module
 from permres.resolution import good_resolution, trivial_resolution
 
 from helpers import (
+    ref_action,
     ref_block_sum,
     ref_check_module_map,
     ref_coset_module,
     ref_fixed_points,
     ref_mat_pow,
     ref_matmul,
+    ref_non_permutation,
     ref_permutation_vector,
     ref_rank,
     ref_tensor,
@@ -111,7 +115,7 @@ class TestConstructors:
     def test_each_coset_module_is_built_once_and_capped_on_every_call(self):
         h = Subgroup.trivial(V4)
         assert coset_module(h) is coset_module(Subgroup(V4, np.zeros((0, 2), dtype=np.int64)))
-        assert not coset_module(h)._vectors.flags.writeable
+        assert not coset_module(h).perms.flags.writeable
         # kE (dim 4) is in the memo now; a cap below its dim still refuses it
         with config.limits(dim_cap=3), pytest.raises(CapExceeded, match="dimension 4 exceeds cap 3"):
             coset_module(h)
@@ -128,22 +132,29 @@ class TestConstructors:
 
     def test_equal_modules_compare_and_hash_equal(self):
         a, b = free_module(V4, 2), free_module(V4, 2)
-        assert a is not b
+        assert a is not b and a.perms is not b.perms
         assert a == b and hash(a) == hash(b)
-        assert a.perms  # cached on one side only
-        assert a == b and hash(a) == hash(b)
-        assert b.perms
-        assert a == b and hash(a) == hash(b)
+        # made from its matrices, a permutation module takes the same one form
+        c = Module(V4, a.action)
+        assert c.perms is not None and not cached_matrices(c)
+        assert a == c and c == a and hash(a) == hash(c)
         assert a != free_module(V4, 1) and a != trivial_module(V4, 8)
+        # modules that keep their matrices compare and hash them
+        u, v = (Module(C2, (Mat(2, [[1, 1], [0, 1]]),)) for _ in range(2))
+        assert u.perms is None and u == v and hash(u) == hash(v)
+        assert u != trivial_module(C2, 2) and u != free_module(C2, 1)
 
     def test_perms_are_derived_and_read_only(self):
-        m = Module(V4, (permutation_matrix(2, [1, 0]), Mat(2, [[1, 1], [0, 1]])))
-        assert m.perms[0].tolist() == [1, 0] and m.perms[1] is None
+        # one generator is no permutation: the module keeps its matrices
+        mixed = Module(V4, (permutation_matrix(2, [1, 0]), Mat(2, [[1, 1], [0, 1]])))
+        assert mixed.perms is None and len(cached_matrices(mixed)) == 2
+        m = Module(V4, (permutation_matrix(2, [1, 0]), Mat.identity(2, 2)))
+        assert m.perms.tolist() == [[1, 0], [0, 1]] and not cached_matrices(m)
         assert m.perms is m.perms
         with pytest.raises(ValueError):
             m.perms[0][0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            m.perms = (None, None)
+            m.perms = None
         with pytest.raises(TypeError):
             Module(V4, m.action, perms=m.perms)
 
@@ -165,7 +176,7 @@ class TestConstructors:
 def _checked(mod):
     """validate_module(mod), asserted equal to the dense reference."""
     got = validate_module(mod)
-    assert got == ref_validate_module([a.a.tolist() for a in mod.action], mod.group.p)
+    assert got == ref_validate_module(ref_action(mod), mod.group.p)
     return got
 
 
@@ -174,8 +185,8 @@ def _checked_map(f):
     got = check_module_map(f)
     expected = ref_check_module_map(
         f.matrix.a.tolist(),
-        [a.a.tolist() for a in f.source.action],
-        [a.a.tolist() for a in f.target.action],
+        ref_action(f.source),
+        ref_action(f.target),
         f.source.group.p,
     )
     assert got == expected
@@ -277,8 +288,8 @@ class TestPermutationCertificate:
 def cached_matrices(mod):
     """The matrices a module holds: every ``Mat`` or 2-d array that its
     attributes keep, looked for inside tuples, lists and dicts too, beside
-    the rank x dim array of index vectors of a module built from them."""
-    found, todo = [], [value for key, value in vars(mod).items() if key != "_vectors"]
+    the rank x dim array ``perms`` of a permutation module."""
+    found, todo = [], [value for key, value in vars(mod).items() if key != "perms"]
     while todo:
         x = todo.pop()
         if isinstance(x, (tuple, list)):
@@ -291,9 +302,10 @@ def cached_matrices(mod):
 
 
 def _summand(draw, group):
-    """A drawn module with its dense oracle: a coset module stored as vectors,
-    its dense twin, or a dense non-permutation module of powers of one
-    unipotent Jordan block (order p, as its size is at most p)."""
+    """A drawn module with its dense oracle: a coset module built as vectors,
+    its dense twin made from matrices (again kept as vectors), or a dense
+    non-permutation module of powers of one unipotent Jordan block (order
+    p, as its size is at most p)."""
     p, r = group.p, group.rank
     kind = draw(st.sampled_from(["vectors", "dense twin", "unipotent"]))
     if kind == "unipotent":
@@ -328,11 +340,14 @@ def summands(draw, max_dim):
 
 
 def _assert_matches(mod, action):
-    """mod has the oracle's dense generators and their permutation vectors."""
-    assert [a.a.tolist() for a in mod.action] == action
-    assert [None if s is None else s.tolist() for s in mod.perms] == [
-        ref_permutation_vector(a) for a in action
-    ]
+    """mod has the oracle's dense generators, and keeps them exactly when one
+    is no permutation matrix; else it keeps their vectors and no matrix."""
+    assert ref_action(mod) == action
+    vectors = [ref_permutation_vector(a) for a in action]
+    if None in vectors:
+        assert mod.perms is None and len(cached_matrices(mod)) == len(action)
+    else:
+        assert mod.perms.tolist() == vectors and not cached_matrices(mod)
 
 
 class TestVectorStorage:
@@ -346,8 +361,6 @@ class TestVectorStorage:
             _assert_matches(mod, action)
         total = block_sum(group, [mod for mod, _ in parts])
         _assert_matches(total, ref_block_sum([action for _, action in parts]))
-        if all(not cached_matrices(mod) for mod, _ in parts):
-            assert not cached_matrices(total)
 
     @settings(max_examples=60, deadline=None)
     @given(summands(max_dim=12), st.data())
@@ -357,8 +370,6 @@ class TestVectorStorage:
         assume(m.dim * n.dim <= 200)
         out = tensor(m, n)
         _assert_matches(out, ref_tensor(action_m, action_n, group.p))
-        if not cached_matrices(m) and not cached_matrices(n):
-            assert not cached_matrices(out)
 
     @pytest.mark.parametrize(
         "vectors",
@@ -379,7 +390,7 @@ class TestVectorStorage:
         sigma = np.array([1, 0])
         mod = Module.from_perms(C2, [sigma])
         sigma[:] = [0, 1]
-        assert mod.perms[0].tolist() == [1, 0]
+        assert mod.perms.tolist() == [[1, 0]]
         with pytest.raises(ValueError):
             mod.perms[0][0] = 0
 
@@ -395,6 +406,7 @@ class TestVectorStorage:
     def test_a_broken_term_fails_terms_valid_like_its_dense_twin(self, group, vectors, detail):
         built = Module.from_perms(group, vectors)
         twin = Module(group, tuple(permutation_matrix(group.p, s) for s in vectors))
+        assert np.array_equal(twin.perms, built.perms) and not cached_matrices(twin)
         reports = [certify_resolution(single_term_complex(m)) for m in (built, twin)]
         checks = [next(c for c in rep.checks if c.name == "terms-valid") for rep in reports]
         assert [(c.ok, c.detail) for c in checks] == [(False, detail)] * 2
@@ -403,8 +415,11 @@ class TestVectorStorage:
     @pytest.mark.parametrize("group", [C2, V4, C3_2], ids=str)
     def test_equal_in_both_forms(self, group):
         built = _realized(group)
+        # the dense twin of a permutation module is kept as its vectors
         twin = Module(group, built.action)
-        assert not cached_matrices(built) and cached_matrices(twin)
+        assert not cached_matrices(built) and not cached_matrices(twin)
+        assert twin.perms is not built.perms and np.array_equal(twin.perms, built.perms)
+        assert ref_action(twin) == ref_action(built)
         assert built == twin and twin == built and hash(built) == hash(twin)
         assert len({built, twin, Module(group, twin.action)}) == 1
         if group.rank > 1:
@@ -426,6 +441,111 @@ class TestVectorStorage:
         assert free_rank(res.terms[0]) == 1
         ends = res.terms + (res.aug.target,)
         assert sorted(map(id, calls)) == sorted(map(id, ends))
+
+
+FORM_DIM = 24  # the dense references below are pure Python
+
+
+@cache
+def _small_subgroups(group):
+    return [h for h in all_subgroups(group) if h.index <= FORM_DIM // 2]
+
+
+def _realized_parts(draw, group):
+    """A realized descriptor of 0 to 3 parts, with the blocks of its parts."""
+    parts = draw(st.lists(st.sampled_from(_small_subgroups(group)), max_size=3))
+    tagged = realize(PermutationDescriptor(group, tuple(parts)))
+    return tagged.module, [np.flatnonzero(tagged.part_of == j) for j in range(len(parts))]
+
+
+def _non_permutation(draw, p, d):
+    """A d x d matrix over F_p that is no permutation matrix: seeded random
+    entries, or one 1 in each row at columns that repeat."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = np.zeros((d, d), dtype=np.int64)
+        a[np.arange(d), rng.integers(0, d, size=d)] = 1
+    else:
+        a = rng.integers(0, p, size=(d, d))
+    if ref_permutation_vector(a.tolist()) is not None:
+        a[0, 0] = (a[0, 0] + 1) % p
+    return Mat(p, a)
+
+
+def _form_module(draw, group, depth=1):
+    """A module of dim at most FORM_DIM in one of the ways the code makes one."""
+    kinds = ["realized", "zero", "restricted", "mixed"] + ["sum", "tensor"] * depth
+    kind = draw(st.sampled_from(kinds))
+    p, r = group.p, group.rank
+    if kind == "zero":
+        zero = Module(group, (Mat.zeros(p, 0, 0),) * r)
+        return draw(st.sampled_from([zero, trivial_module(group, 0)]))
+    if kind in ("sum", "tensor"):
+        m, n = _form_module(draw, group, 0), _form_module(draw, group, 0)
+        if kind == "sum":
+            assume(m.dim + n.dim <= FORM_DIM)
+            return block_sum(group, (m, n))
+        assume(m.dim * n.dim <= FORM_DIM)
+        return tensor(m, n)
+    mod, blocks = _realized_parts(draw, group)
+    if kind == "restricted":
+        chosen = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+        kept = [b for b, c in zip(blocks, chosen) if c]
+        keep = np.concatenate([np.zeros(0, dtype=np.int64), *kept])
+        return permutation_submodule(mod, draw(st.permutations(keep.tolist())))
+    if kind == "mixed" and mod.dim:
+        # one generator, any of them, is no permutation
+        i = draw(st.integers(0, r - 1))
+        return _with_generator(mod, i, _non_permutation(draw, p, mod.dim))
+    return mod
+
+
+@st.composite
+def form_modules(draw):
+    """(group, m, n): two modules over one group, p in {2, 3, 5}, r <= 3."""
+    group = Group(draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3)))
+    return group, _form_module(draw, group), _form_module(draw, group)
+
+
+def _assert_one_form(mod):
+    """mod keeps its vectors and no matrix exactly when every generator is a
+    permutation matrix, else its matrices; its dense twin takes the same form,
+    equals it and hashes equal; ``require_perms`` and ``defect`` agree with
+    the dense references."""
+    p, action = mod.group.p, ref_action(mod)
+    vectors = [ref_permutation_vector(a) for a in action]
+    if None in vectors:
+        assert mod.perms is None and len(cached_matrices(mod)) == len(action)
+        i, row = ref_non_permutation(action)
+        with pytest.raises(NotPermutationBasis) as info:
+            mod.require_perms()
+        assert (info.value.generator_index, info.value.row_index) == (i, row)
+        assert str(info.value) == (
+            f"generator {i + 1} is not a permutation matrix (first offending row {row})"
+        )
+    else:
+        assert mod.perms.tolist() == vectors and not cached_matrices(mod)
+        assert not mod.perms.flags.writeable
+        assert mod.require_perms() is mod.perms
+    twin = Module(mod.group, mod.action)
+    assert (twin.perms is None) == (mod.perms is None)
+    assert twin == mod and mod == twin and hash(twin) == hash(mod)
+    assert mod.defect == ref_validate_module(action, p)
+
+
+class TestOneStoredForm:
+    """Every way of making a module gives the one form its generators decide."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(form_modules(), st.integers(0, 2**32 - 1))
+    def test_differential(self, drawn, seed):
+        group, m, n = drawn
+        for mod in (m, n):
+            _assert_one_form(mod)
+        a = np.random.default_rng(seed).integers(0, group.p, size=(n.dim, m.dim))
+        for f in (identity_map(m), zero_map(m, n), ModuleMap(m, n, Mat(group.p, a))):
+            _checked_map(f)
+        assert (m == n) == (ref_action(m) == ref_action(n))
 
 
 class TestRadicalQuotientKernel:
@@ -627,7 +747,7 @@ class TestOrbitColumns:
             mod = make(group)
             # the gathers run exactly when every generator is a permutation
             if gathers is not None:
-                assert all(sigma is not None for sigma in mod.perms) == gathers
+                assert (mod.perms is not None) == gathers
             rng = np.random.default_rng(t)
             vecs = rng.integers(0, group.p, size=(mod.dim, t))
             got = orbit_columns(mod, vecs)
@@ -676,14 +796,14 @@ class TestFixedPoints:
                 shuffled(block_sum(group, (coset_module(k), coset_module(subs[-1 - i]))), i),
             ]
             for mod in mods:
-                action = [a.a.tolist() for a in mod.action]
+                action = ref_action(mod)
                 for h in subs:
                     want = ref_fixed_points(action, h.basis.a.tolist(), group.p)
                     assert fixed_points(mod, h).a.tolist() == want
 
     def test_refuses_a_non_permutation_module(self):
         mod = omega(trivial_module(V4, 1))[0]
-        assert any(sigma is None for sigma in mod.perms)
+        assert mod.perms is None
         h = all_subgroups(mod.group)[1]
         with pytest.raises(NotPermutationBasis):
             fixed_points(mod, h)

@@ -66,9 +66,10 @@ def _references(tree, name):
     return found
 
 
-# One scan decides which generators of stored matrices are permutations, and
-# a module built from index vectors makes a generator's matrix in one place,
-# afresh for each read; a second copy of either must fail here.  One orbit
+# One scan, when a module is made from matrices, decides whether they are all
+# permutations; one place names the first that is not; and a permutation
+# module makes a generator's matrix in one place, afresh for each read; a
+# second copy of any of them must fail here.  One orbit
 # walk, ``element_images``, reads the fixed points, the orbit columns, the
 # stabilizers and the free rank of a permutation module, so a generator is
 # raised to a power only where ``validate_module`` checks its order, and the
@@ -90,8 +91,14 @@ def _references(tree, name):
         pytest.param(
             "permutation_vector",
             "linalg.py",
-            [("modules.py", "Module.perms")],
-            id="permutation_vector-Module.perms",
+            [("modules.py", "Module.__init__")],
+            id="permutation_vector-Module.__init__",
+        ),
+        pytest.param(
+            "first_non_permutation_row",
+            "linalg.py",
+            [("modules.py", "Module.require_perms")],
+            id="first_non_permutation_row-Module.require_perms",
         ),
         pytest.param(
             "permutation_matrix",
@@ -193,6 +200,15 @@ def test_one_use_site(name, home, owners):
         )
     assert sites == owners
     assert homes == [home]
+
+
+# A module keeps matrices only when some generator is no permutation, and only
+# ``modules.py`` reads them; everything else reads ``perms``, ``action`` or
+# ``generator``, so the stored form stays the constructors' decision.
+def test_stored_matrices_are_read_only_in_modules():
+    paths = sorted(SRC.glob("*.py"))
+    sites = [path.name for path in paths if _references(ast.parse(path.read_text()), "_matrices")]
+    assert sites == ["modules.py"]
 
 
 # A file holds a permutation module as index vectors: the writer makes a
