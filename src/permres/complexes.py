@@ -26,6 +26,12 @@ coordinates embed ker d_(j-1).  Once d_(j-1) d_j = 0 is shown, d_j lands
 in that kernel, so its rows there have its rank and pivots, and their
 product with d_(j+1) is zero exactly when d_j d_(j+1) is.  The rows are
 restricted only above a zero product, so every rank and verdict is exact.
+``lift_chain_map`` makes the same argument for its solves: above degree
+0 the right-hand side and the image of d_j both lie in ker d_(j-1) of the
+target, so its free parts are solved on the rows off the pivots of
+d_(j-1), which the free-part solve one degree down found, and its other
+parts, H-fixed, on one row per H-orbit (``permutation.LiftRows``).  It
+forms each right-hand side only at the parts' cosets H themselves.
 
 Sign conventions (the certified statements are sign-independent):
 
@@ -52,6 +58,7 @@ from .modules import (
     trivial_module,
 )
 from .permutation import (
+    LiftRows,
     PermutationDescriptor,
     recognize,
     recognize_all,
@@ -404,8 +411,9 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     guarantees one when q is free up to the top degree of pc).  Each
     component is the canonical ``solve_equivariant`` out of its term,
     recognized for its basis (NotPermutationBasis if it has none), all
-    in one walk before the first solve; degrees above pc vanish and the
-    final compatibility is asserted rather than solved.
+    in one walk before the first solve, on the rows that one ``LiftRows``
+    carries up the degrees; degrees above pc vanish and the final
+    compatibility is asserted rather than solved.
     """
     if q.aug is None or pc.aug is None:
         raise LiftFailed("both complexes must be augmented")
@@ -420,18 +428,19 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
         bases = (None,) * len(sources)
     components: list[ModuleMap | None] = []
     prev = f.matrix
+    rows = LiftRows()
     for j in range(q.top + 1):
-        rhs = prev @ q.boundary(j).matrix
         if j <= pc.top:
             tag = recognize(q.terms[j]) if bases[j] is None else bases[j]
-            x = solve_equivariant(tag, pc.terms[j], pc.boundary(j).matrix, rhs)
+            rhs = prev @ q.boundary(j).matrix.take_cols(tag.base)
+            x = solve_equivariant(tag, pc.terms[j], pc.boundary(j).matrix, rhs, rows)
             if x is None:
                 raise LiftFailed(f"no lift exists at degree {j}")
             components.append(ModuleMap(q.terms[j], pc.terms[j], x))
             prev = x
         else:
             # beyond the target: the compatibility must hold with a zero component
-            if not rhs.is_zero():
+            if not (prev @ q.boundary(j).matrix).is_zero():
                 raise LiftFailed(f"automatic vanishing fails at degree {j}")
             components.append(None)
             prev = Mat.zeros(q.group.p, 0, q.terms[j].dim)

@@ -192,8 +192,9 @@ class Subgroup:
             raise GroupMismatch("subgroups of different groups")
 
 
+@lru_cache(maxsize=None)
 def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
-    """Every subgroup of E, sorted by the canonical key.
+    """Every subgroup of E, sorted by the canonical key, memoised per group.
 
     Breadth-first closure: repeatedly extend known subspaces by one
     vector.  Fine for the capped group orders.

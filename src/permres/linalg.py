@@ -9,13 +9,19 @@ product is taken over Python integers and reduced mod p, exact but slow.
 Every p is a prime below 2^31 (``check_prime``), so the int64 products
 of two residues that elimination forms never overflow.
 
-``rref``, ``row_space``, ``nullspace`` and ``solve`` read a reduced form
-off ``_echelon``, which clears one pivot column per step.  ``rank`` and
-``rank_profile`` need only the count and the pivot columns:
-``rank_profile`` takes every distinct leading column as a pivot at once
-and clears them all with products through ``_matmul_mod``, so its
-updates are BLAS products under the same bound and fallback.  On the
-ranks of the benchmark workloads it takes at most five such rounds.
+Every elimination goes through ``_echelon``: ``rref``, ``row_space``,
+``nullspace`` and ``solve`` (through ``solve_pivots``, which also
+returns the pivots of the matrix solved) read its reduced form, and
+``rank`` and ``rank_profile`` only its pivot columns.  Below
+``_ROUND_MIN`` (12) rows or columns, and wherever p^2 * cols reaches
+2^50, it clears one pivot column per step on int64 rows
+(``_pivot_loop``).  Otherwise it eliminates in pivot rounds on float64
+arrays (``_pivot_rounds``): a round takes every distinct leading column
+as a pivot at once, and clears those columns with BLAS products.  Every
+sum stays below p^2 * cols in absolute value, so the products are exact,
+and ``_mod`` reduces them exactly below 2^50.  On the benchmark
+workloads an elimination takes one to seven rounds, most often one or
+two.
 ``block_matrix`` is the one dense block layout, zero-filling the blocks
 not given: ``block_diag`` is its diagonal case, and the maps of cones,
 tensor complexes and direct sums are assembled with it.
@@ -31,6 +37,7 @@ Conventions (all deterministic, so downstream outputs are golden-testable):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate
 
@@ -39,6 +46,8 @@ import numpy as np
 from .errors import DimensionMismatch, InternalError
 
 _FLOAT_EXACT_BOUND = 2**53
+_ROUND_EXACT_BOUND = 2**50
+_ROUND_MIN = 12  # the smaller side from which elimination runs in pivot rounds
 _PRIME_BOUND = 2**31
 
 
@@ -265,8 +274,20 @@ def block_diag(p, mats):
 
 
 def _echelon(a: np.ndarray, p: int, reduced: bool):
-    """Gaussian elimination; returns (echelon form, pivot column list)."""
-    a = np.array(a, dtype=np.int64)
+    """Gaussian elimination; returns (echelon form, pivot column list).
+
+    The form is the rref when ``reduced``, else a row echelon form whose
+    nonzero rows lead with 1 at the pivots; the module docstring says
+    which of ``_pivot_loop`` and ``_pivot_rounds`` makes it.
+    """
+    rows, cols = np.shape(a)
+    if min(rows, cols) < _ROUND_MIN or p * p * cols >= _ROUND_EXACT_BOUND:
+        return _pivot_loop(np.array(a, dtype=np.int64), p, reduced)
+    return _pivot_rounds(np.asarray(a, dtype=np.float64), p, reduced)
+
+
+def _pivot_loop(a: np.ndarray, p: int, reduced: bool):
+    """``_echelon`` one pivot column per step, in place on the int64 array a."""
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -296,6 +317,86 @@ def _echelon(a: np.ndarray, p: int, reduced: bool):
     return a, pivots
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place, for a float64 array of integers below 2^50 in
+    absolute value.
+
+    floor(x / p + 1/(2p)) is floor(x / p) exactly: x / p sits at least
+    1/(2p) inside its unit interval after the shift, and the three
+    roundings err by under 1/(2p) below 2^50.  It is several times
+    faster than ``%`` on floats.
+    """
+    q = x * (1.0 / p)
+    q += 0.5 / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _pivot_rounds(w: np.ndarray, p: int, reduced: bool):
+    """``_echelon`` of the float64 array w in pivot rounds.
+
+    A round takes, for each distinct leading column of the rows left, the
+    first row that leads there.  Those rows S, scaled to lead with 1, and
+    their leading columns P meet in a unit upper-triangular block
+    D = I - M with M nilpotent, so the rows are independent, and D^-1 is
+    (I + M)(I + M^2)(I + M^4)... up to the first vanishing power.  The
+    other rows O become O - O[:, P] D^-1 S, zero on P.  A reduced round
+    applies the series to S and stores the rows D^-1 S, which are the
+    identity on P, and clears P from the earlier pivot rows the same way;
+    an unreduced one applies it to O[:, P] instead, and stores S as
+    its echelon rows.  Row operations keep every
+    column relation, so the leading columns found are the pivots of a.
+    Every entry stays below p^2 * cols in absolute value, which the
+    dispatch keeps under 2^50, so the products are exact and ``_mod``
+    reduces them exactly.
+    """
+    rows, cols = w.shape
+    found, pivots = [], []  # the pivot rows and their columns, round by round
+    while True:
+        w = w[w.any(axis=1)]
+        if not w.size:
+            break
+        lead = (w != 0).argmax(axis=1)
+        # a stable sort by leading column puts the first row of each group first
+        order = lead.argsort(kind="stable")
+        ordered = lead[order]
+        first = np.ones(ordered.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        at, cs = order[first], ordered[first]
+        s = w[at]
+        if p != 2:
+            inv = [pow(v, -1, p) for v in s[np.arange(at.size), cs].astype(np.int64).tolist()]
+            s = _mod(s * np.array(inv, dtype=np.float64)[:, None], p)
+        w = w[order[~first]]
+        if reduced or w.size:
+            mult = _mod(-s[:, cs], p)
+            mult.flat[:: at.size + 1] = 0
+        if reduced:
+            while mult.any():
+                s = _mod(s + mult @ s, p)
+                mult = _mod(mult @ mult, p)
+            found = [_mod(f - f[:, cs] @ s, p) for f in found]
+            if w.size:
+                w = _mod(w - w[:, cs] @ s, p)
+        elif w.size:
+            y = w[:, cs]
+            while mult.any():
+                y = _mod(y + y @ mult, p)
+                mult = _mod(mult @ mult, p)
+            w = _mod(w - y @ s, p)
+        found.append(s)
+        pivots.append(cs)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    if not found:
+        return out, []
+    pivots = np.concatenate(pivots)
+    order = pivots.argsort()
+    out[: order.size] = np.vstack(found)[order]
+    return out, pivots[order].tolist()
+
+
 def rref(m: Mat):
     """Reduced row echelon form; returns (R, rank, pivot columns)."""
     a, pivots = _echelon(m.a, m.p, reduced=True)
@@ -303,60 +404,13 @@ def rref(m: Mat):
 
 
 def rank_profile(m: Mat) -> tuple[int, tuple[int, ...]]:
-    """(rank, pivot columns of the echelon form) of m, eliminated in pivot rounds.
+    """(rank, pivot columns of the echelon form) of m.
 
-    A round takes, for each distinct leading column of the nonzero rows,
-    the first row that leads there.  Those rows R and their leading
-    columns P meet in an upper-triangular block D with a nonzero
-    diagonal, so they add |R| to the rank, and the Schur complement
-    O[:, Q] - O[:, P] D^-1 A[R, Q] of the other rows O on the other
-    columns Q has rank rank(A) - |R|.  Scaled to a unit diagonal,
-    D = I - M with M nilpotent, so O[:, P] D^-1 is O[:, P] times
-    (I + M)(I + M^2)(I + M^4)... up to the first vanishing power, and one
-    more product forms the complement.
-    Rows whose leading columns all differ are independent, so that case
-    ends the loop with no product.
-
-    The pivots are the column rank profile: a leading column is not in
-    the span of the columns before it, since its row is zero on them, and
-    row operations keep every column relation, so a column of Q is a
-    pivot of A exactly when it is one of the complement.
+    The pivots are the column rank profile: a pivot column is not in the
+    span of the columns before it, so any echelon form gives the same.
     """
-    a, p = m.a, m.p
-    at = np.arange(m.cols)  # the column of m that each column of a is
-    found = []
-    while True:
-        a = a[a.any(axis=1)]
-        if min(a.shape) <= 1:  # no row, or one row or column that is nonzero
-            if a.size:
-                found.append(int(at[(a[0] != 0).argmax()]))
-            break
-        lead = (a != 0).argmax(axis=1)
-        # a stable sort by leading column puts the first row of each group first
-        order = lead.argsort(kind="stable")
-        ordered = lead[order]
-        first = np.ones(ordered.size, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        rows, cols = order[first], ordered[first]
-        found.extend(at[cols].tolist())
-        if first.all():
-            break
-        pivots = a[rows]
-        if p != 2:
-            inv = [pow(v, -1, p) for v in a[rows, cols].tolist()]
-            pivots = pivots * np.array(inv, dtype=np.int64)[:, None] % p
-        keep = np.ones(a.shape[1], dtype=bool)
-        keep[cols] = False
-        o = a[order[~first]]
-        y = o[:, cols]
-        mult = -pivots[:, cols] % p
-        mult.flat[:: rows.size + 1] = 0
-        while mult.any():
-            y = (y + _matmul_mod(y, mult, p)) % p
-            mult = _matmul_mod(mult, mult, p)
-        a = (o[:, keep] - _matmul_mod(y, pivots[:, keep], p)) % p
-        at = at[keep]
-    return len(found), tuple(sorted(found))
+    pivots = _echelon(m.a, m.p, reduced=False)[1]
+    return len(pivots), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -401,18 +455,24 @@ def nullspace(m: Mat) -> Mat:
 
 def solve(a: Mat, b: Mat):
     """Canonical X with a @ X = b (free variables 0), or None if unsolvable."""
+    return solve_pivots(a, b)[0]
+
+
+def solve_pivots(a: Mat, b: Mat):
+    """(``solve(a, b)``, the pivot columns of a), from one elimination of [a | b]."""
     if a.p != b.p:
         raise DimensionMismatch(f"mixed fields F_{a.p} and F_{b.p}")
     if a.rows != b.rows:
         raise DimensionMismatch(f"solve: {a.rows} rows vs {b.rows} rows")
     n = a.cols
     red, pivots = _echelon(np.hstack([a.a, b.a]), a.p, reduced=True)
-    # pivots increase, so a pivot among the columns of b is the last one
-    if pivots and pivots[-1] >= n:
-        return None
+    # pivots increase, so those among the columns of b come last
+    k = bisect_left(pivots, n)
+    if k < len(pivots):
+        return None, tuple(pivots[:k])
     x = np.zeros((n, b.cols), dtype=np.int64)
-    x[pivots] = red[: len(pivots), n:]
-    return Mat._wrap(a.p, x)
+    x[pivots] = red[:k, n:]
+    return Mat._wrap(a.p, x), tuple(pivots)
 
 
 def inverse(m: Mat) -> Mat:

@@ -231,13 +231,19 @@ def check_module_map(f: ModuleMap):
 
     Between two permutation modules, sigma (source) and tau (target),
     f A_s = A_t f reads f[tau[y], sigma[x]] = f[y, x]: one gather, no
-    product.  Otherwise each side is a product, or a gather on the side
+    product, and only at the nonzeros (y, x) of f.  (y, x) -> (tau[y],
+    sigma[x]) permutes the positions, so once it keeps the value of every
+    nonzero it maps the nonzeros onto themselves, and the zeros onto
+    zeros.  Otherwise each side is a product, or a gather on the side
     that is a permutation module.
     """
     sigma, tau = f.source.perms, f.target.perms
+    if sigma is not None and tau is not None:
+        ys, xs = f.matrix.a.nonzero()
+        values = f.matrix.a[ys, xs]
     for i in range(f.source.group.rank):
         if sigma is not None and tau is not None:
-            ok = np.array_equal(f.matrix.a[np.ix_(tau[i], sigma[i])], f.matrix.a)
+            ok = np.array_equal(f.matrix.a[tau[i][ys], sigma[i][xs]], values)
         else:
             ok = _act_right(f.matrix, f.source, i) == _act(f.target, i, f.matrix)
         if not ok:

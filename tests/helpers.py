@@ -436,3 +436,69 @@ def ref_densify(obj):
         digest = hashlib.sha256(ref_canonical_dumps(payload).encode()).hexdigest()
         out["meta"] = dict(obj["meta"], digest=digest)
     return out
+
+
+def ref_lift(p, f, q_maps, q_actions, pc_maps, pc_actions):
+    """The chain-map lift of f through q and pc, each part from its whole system.
+
+    ``q_maps[j]`` is d_j of the source (d_0 its augmentation) as an int
+    array, ``q_actions[j]`` the dense generators of its term j, and
+    likewise for the target pc.  At a degree j <= top of pc, a part over H
+    of the source term (read by ``ref_recognize``) sends its coset H to
+    F y: F holds the indicators of the H-orbits on the target term's
+    basis, ordered by their largest points, and y is the canonical
+    solution (free variables 0) of [d_j F | b] in ``ref_echelon``'s reduced
+    form, every row kept.  Its other cosets g H go to A^g F y.  Returns
+    (components, None), or (components below, message) at the first
+    degree without a lift, worded as ``lift_chain_map`` words it.
+    """
+
+    def moved(perms, x):
+        # the permutation of the basis that the element x makes
+        s = np.arange(len(perms[0]) if perms else 0)
+        for sigma, e in zip(perms, x):
+            for _ in range(int(e)):
+                s = sigma[s]
+        return s
+
+    components = []
+    prev = np.array(f, dtype=np.int64)
+    top = len(pc_maps) - 1
+    for j, dq in enumerate(q_maps):
+        rhs = prev @ np.array(dq, dtype=np.int64) % p
+        if j > top:
+            if rhs.any():
+                return components, f"automatic vanishing fails at degree {j}"
+            prev = np.zeros((0, rhs.shape[1]), dtype=np.int64)
+            continue
+        d = np.array(pc_maps[j], dtype=np.int64)
+        tau = [np.array(ref_permutation_vector(a), dtype=np.intp) for a in pc_actions[j]]
+        parts, basis_map = ref_recognize(q_actions[j], p)
+        x = np.zeros((d.shape[1], len(basis_map)), dtype=np.int64)
+        for k, stab in enumerate(parts):
+            gens = [moved(tau, row) for row in stab]
+            largest = np.arange(d.shape[1])
+            while True:
+                grown = largest
+                for g in gens:
+                    grown = np.maximum(grown, grown[g])
+                if np.array_equal(grown, largest):
+                    break
+                largest = grown
+            tops = sorted(set(largest.tolist()))
+            fix = np.zeros((d.shape[1], len(tops)), dtype=np.int64)
+            fix[np.arange(d.shape[1]), [tops.index(t) for t in largest.tolist()]] = 1
+            base = basis_map.index((k, (0,) * len(q_actions[j])))
+            a = d @ fix % p
+            red, pivots = ref_echelon(np.hstack([a, rhs[:, base : base + 1]]), p, True)
+            if pivots and pivots[-1] >= a.shape[1]:
+                return components, f"no lift exists at degree {j}"
+            y = np.zeros(a.shape[1], dtype=np.int64)
+            y[pivots] = red[: len(pivots), a.shape[1]]
+            v = fix @ y % p
+            for t, (part, rep) in enumerate(basis_map):
+                if part == k:
+                    x[moved(tau, rep), t] = v
+        components.append(x)
+        prev = x
+    return components, None

@@ -40,8 +40,10 @@ from permres.modules import (
 )
 from permres.permutation import PermutationDescriptor, realize, recognize
 from permres.random_modules import random_module
+from permres import resolution
 from permres.resolution import (
     _free_term,
+    _trivial_complex,
     good_resolution,
     periodic_complex,
     trivial_resolution,
@@ -51,6 +53,7 @@ from helpers import (
     ref_action,
     ref_certify_lines,
     ref_densify,
+    ref_lift,
     ref_permutation_vector,
     ref_rank,
 )
@@ -372,6 +375,78 @@ class TestLift:
         # equations at degrees 0..top(p) are still solvable for f = id
         with pytest.raises(Exception):
             lift_chain_map(identity_map(trivial_module(C2, 1)), q, p, ell=0)
+
+
+def _lift_outcome(f, q, pc):
+    """(components, None) of ``lift_chain_map``, or (None, its LiftFailed message)."""
+    try:
+        lift = lift_chain_map(f, q, pc, pc.top)
+    except LiftFailed as e:
+        return None, str(e)
+    assert check_chain_map(lift) is None
+    return [c.matrix.a for c in lift.components[: pc.top + 1]], None
+
+
+def _matches_reference(f, q, pc):
+    """The lift against ``ref_lift``, which solves every part on all its rows;
+    returns the LiftFailed message, or None."""
+    got, message = _lift_outcome(f, q, pc)
+    data = []
+    for c in (q, pc):
+        data += [[c.aug.matrix.a] + [d.matrix.a for d in c.diffs], [ref_action(t) for t in c.terms]]
+    want, want_message = ref_lift(f.source.group.p, f.matrix.a, *data)
+    assert message == want_message
+    if got is not None:
+        assert len(got) == len(want)
+        for j, (a, b) in enumerate(zip(got, want)):
+            assert np.array_equal(a, b), f"component {j}"
+    return message
+
+
+def _splice_lifts(module, m):
+    """(f, q, pc) of every lift that ``good_resolution(module, m)`` makes."""
+    calls = []
+    real = resolution.lift_chain_map
+
+    def recording(f, q, pc, ell):
+        calls.append((f, q, pc))
+        return real(f, q, pc, ell)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "lift_chain_map", recording)
+        good_resolution(module, m)
+    return calls
+
+
+class TestLiftRows:
+    """Each degree of a lift solves on the rows that decide it: the kernel
+    rows of the free part and one row per orbit for the other parts.  The
+    components and the failures must be those of the whole systems."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]),
+        st.integers(2, 3),
+        st.integers(0, 2),
+        st.integers(0, 10**6),
+    )
+    def test_splice_lifts_match_the_whole_systems(self, pr, dim, m, seed):
+        p, r = pr
+        for f, q, pc in _splice_lifts(random_module(p, r, dim, seed), m):
+            _matches_reference(f, q, pc)
+            # shorter resolutions of the kernel, where lifts may fail
+            for short in (0, 1):
+                q_short = truncate(_trivial_complex(f.source.group, short))
+                if q_short.top < q.top and q_short.aug.target == f.source:
+                    _matches_reference(f, q_short, pc)
+
+    @pytest.mark.parametrize("p, r, dim, seed", [(2, 2, 3, 1), (3, 2, 3, 633), (5, 1, 3, 2)])
+    def test_short_sources_fail_where_the_whole_systems_do(self, p, r, dim, seed):
+        messages = set()
+        for f, q, pc in _splice_lifts(random_module(p, r, dim, seed), 2):
+            q_short = truncate(_trivial_complex(f.source.group, 0))
+            messages.add(_matches_reference(f, q_short, pc))
+        assert messages - {None}, "no short source failed to lift"
 
 
 class TestAssembly:

@@ -144,12 +144,12 @@ class TestRank:
     def test_calls_no_per_pivot_elimination(self, monkeypatch):
         c = trivial_resolution(Group(2, 3), 5).complex
         d = next(d.matrix for d in c.diffs if d.matrix.cols == 252)
-        want = len(_echelon(d.a, d.p, False)[1])
+        want = len(linalg._pivot_loop(d.a.copy(), d.p, False)[1])
 
-        def no_echelon(*args):
+        def no_loop(*args):
             raise AssertionError("rank fell back to the per-pivot loop")
 
-        monkeypatch.setattr(linalg, "_echelon", no_echelon)
+        monkeypatch.setattr(linalg, "_pivot_loop", no_loop)
         assert rank(d) == want
 
 
@@ -189,6 +189,116 @@ class TestRankProfile:
         want = _ref_pivots(a, p)
         assert rank_profile(Mat(p, a)) == (len(want), want)
         assert rank(Mat(p, a)) == ref_rank(a.tolist(), p)
+
+
+ROUND_PRIMES = [2, 3, 5, 65521, 2**31 - 1]
+
+
+@st.composite
+def crossover_arrays(draw):
+    """(p, array) on both sides of the pivot-round crossover: empty, thin,
+    wide and tall shapes, of low rank with repeated rows and many zeros."""
+    p = draw(st.sampled_from(ROUND_PRIMES))
+    side = st.sampled_from([0, 1, 2, linalg._ROUND_MIN - 1, linalg._ROUND_MIN, 19, 33])
+    rows, cols = draw(side), draw(side)
+    k = draw(st.integers(0, max(rows, cols, 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    density = st.sampled_from([0.1, 0.5, 1])
+    left = rng.integers(0, p, size=(rows, k)) * (rng.random((rows, k)) < draw(density))
+    right = rng.integers(0, p, size=(k, cols)) * (rng.random((k, cols)) < draw(density))
+    a = (left.astype(object) @ right.astype(object) % p).astype(np.int64).reshape(rows, cols)
+    if rows >= 2 and draw(st.booleans()):
+        a[rng.integers(rows)] = a[rng.integers(rows)]
+    return p, a
+
+
+def _is_echelon_with_pivots(a, pivots):
+    """Nonzero rows first, each leading with 1 at its pivot, the pivots increasing."""
+    lead = [int(np.flatnonzero(row)[0]) if row.any() else None for row in a]
+    r = len(pivots)
+    ones = all(a[i, c] == 1 for i, c in enumerate(pivots))
+    return lead[:r] == list(pivots) and all(x is None for x in lead[r:]) and ones
+
+
+class TestPivotRounds:
+    """The one elimination on both sides of the crossover, against the oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(crossover_arrays())
+    @example((3, np.zeros((linalg._ROUND_MIN, 0), dtype=np.int64)))
+    @example((65521, np.zeros((0, linalg._ROUND_MIN), dtype=np.int64)))
+    @example((2, np.zeros((linalg._ROUND_MIN, linalg._ROUND_MIN), dtype=np.int64)))
+    def test_forms_ranks_and_pivots_equal_the_references(self, pa):
+        p, a = pa
+        want, want_pivots = ref_echelon(a, p, True)
+        got, pivots = _echelon(a, p, True)
+        assert got.dtype == np.int64 and np.array_equal(got, want) and pivots == want_pivots
+        form, pivots = _echelon(a, p, False)
+        assert form.dtype == np.int64 and form.shape == a.shape and pivots == want_pivots
+        assert _is_echelon_with_pivots(form, pivots)
+        # the form keeps the row space: its rref is the rref of a
+        assert np.array_equal(ref_echelon(form, p, True)[0], want)
+        assert rank_profile(Mat(p, a)) == (len(want_pivots), tuple(want_pivots))
+        assert rank(Mat(p, a)) == ref_rank(a.tolist(), p) == len(want_pivots)
+        m = Mat(p, a)
+        assert rref(m)[0].a.tolist() == want.tolist()
+        assert row_space(m).a.tolist() == want[: len(want_pivots)].tolist()
+        kernel = nullspace(m)
+        assert kernel.cols == a.shape[1] - len(want_pivots) and (m @ kernel).is_zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(crossover_arrays(), st.integers(0, 2**32 - 1))
+    def test_solve_equals_the_reference_or_is_none(self, pa, seed):
+        p, a = pa
+        rng = np.random.default_rng(seed)
+        rows, cols = a.shape
+        x = rng.integers(0, p, size=(cols, 3)).astype(object)
+        b = (a.astype(object) @ x % p).astype(np.int64)
+        if rows and rng.random() < 0.5:
+            b[:, 0] = (b[:, 0] + rng.integers(0, p, size=rows)) % p  # perhaps no longer in the span
+        red, pivots = ref_echelon(np.hstack([a, b]), p, True)
+        x = solve(Mat(p, a), Mat(p, b))
+        if pivots and pivots[-1] >= cols:
+            assert x is None
+        else:
+            want = np.zeros((cols, 3), dtype=np.int64)
+            want[pivots] = red[: len(pivots), cols:]
+            assert x is not None and x.a.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("p", ROUND_PRIMES)
+    def test_inconsistent_systems_have_no_solution(self, p):
+        n = linalg._ROUND_MIN + 5
+        a = np.eye(n, dtype=np.int64)
+        a[-1, -1] = 0
+        b = np.zeros((n, 1), dtype=np.int64)
+        b[-1, 0] = 1
+        assert solve(Mat(p, a), Mat(p, b)) is None
+        b[-1, 0] = 0
+        b[0, 0] = p - 1
+        assert solve(Mat(p, a), Mat(p, b)).a[:, 0].tolist() == b[:, 0].tolist()
+
+    @pytest.mark.parametrize("p", ROUND_PRIMES)
+    def test_rounds_run_exactly_where_floats_are_exact(self, p, monkeypatch):
+        rng = np.random.default_rng(p)
+        runs = []
+        for name in ("_pivot_loop", "_pivot_rounds"):
+            original = getattr(linalg, name)
+
+            def counted(a, q, reduced, name=name, original=original):
+                runs.append(name)
+                return original(a, q, reduced)
+
+            monkeypatch.setattr(linalg, name, counted)
+        small = linalg._ROUND_MIN - 1
+        for shape in ((small, 40), (40, small), (linalg._ROUND_MIN, 40), (40, 40)):
+            a = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.2)
+            runs.clear()
+            got = _echelon(a, p, True)
+            rounds = min(shape) >= linalg._ROUND_MIN and p * p * shape[1] < 2**50
+            assert runs == ["_pivot_rounds" if rounds else "_pivot_loop"]
+            want = ref_echelon(a, p, True)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 class TestRref:

@@ -275,6 +275,33 @@ class TestPermutationCertificate:
             failures += _checked_map(bad) is not None
         assert failures > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([C2, C3, V4, C3_2]), st.data())
+    def test_maps_between_permutation_modules(self, group, data):
+        """Gathers at the nonzeros agree with the dense check, also when the
+        only wrong value is the image of a zero entry."""
+        parts = all_subgroups(group)
+        pick = st.lists(st.sampled_from(parts), min_size=1, max_size=3)
+        source = realize(PermutationDescriptor(group, tuple(data.draw(pick)))).module
+        target = realize(PermutationDescriptor(group, tuple(data.draw(pick)))).module
+        p = group.p
+        a = np.zeros((target.dim, source.dim), dtype=np.int64)
+        for h in hom_space(source, target):
+            a += data.draw(st.integers(0, p - 1)) * h.a
+        a %= p
+        assert _checked_map(ModuleMap(source, target, Mat(p, a))) is None
+        y = data.draw(st.integers(0, target.dim - 1))
+        x = data.draw(st.integers(0, source.dim - 1))
+        kind = data.draw(st.sampled_from(["zero", "add", "only"]))
+        if kind == "zero":
+            a[y, x] = 0  # a nonzero entry, if any, turns zero
+        elif kind == "add":
+            a[y, x] = (a[y, x] + data.draw(st.integers(1, p - 1))) % p
+        else:
+            a[:] = 0  # one nonzero whose image is a zero entry, unless fixed
+            a[y, x] = data.draw(st.integers(1, p - 1))
+        _checked_map(ModuleMap(source, target, Mat(p, a)))
+
     def test_maps_onto_a_non_permutation_target(self):
         res = good_resolution(random_module(3, 2, 3, seed=4), 1)
         aug = res.complex.aug

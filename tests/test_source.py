@@ -81,10 +81,12 @@ def _references(tree, name):
 # one-module case, called alone by ``trim`` and, where some term has no
 # basis, term by term in the lift and the certificate.  Coset
 # representatives are built as tuples only for coset modules and realized
-# bases; a recognized basis is the orbit walk's index arrays.  The per-pivot
-# elimination serves the reduced forms alone; ``rank`` eliminates in rounds,
-# through ``rank_profile``, which the certificate's one pass up a complex
-# calls on each map, and that pass serves both ``d-squared`` and ``exact``.
+# bases; a recognized basis is the orbit walk's index arrays.  One dispatch,
+# ``_echelon``, picks the per-pivot loop or the pivot rounds for every
+# elimination, the reduced forms, ``solve_pivots`` and ``rank_profile``;
+# ``rank`` reads ``rank_profile``, which the certificate's one pass up a
+# complex calls on each map, and that pass serves both ``d-squared`` and
+# ``exact``.
 @pytest.mark.parametrize(
     "name, home, owners",
     [
@@ -167,11 +169,24 @@ def _references(tree, name):
             "linalg.py",
             [
                 ("linalg.py", "rref"),
+                ("linalg.py", "rank_profile"),
                 ("linalg.py", "row_space"),
                 ("linalg.py", "nullspace"),
-                ("linalg.py", "solve"),
+                ("linalg.py", "solve_pivots"),
             ],
-            id="_echelon-rref-row_space-nullspace-solve",
+            id="_echelon-rref-rank_profile-row_space-nullspace-solve_pivots",
+        ),
+        pytest.param(
+            "_pivot_loop",
+            "linalg.py",
+            [("linalg.py", "_echelon")],
+            id="_pivot_loop-_echelon",
+        ),
+        pytest.param(
+            "_pivot_rounds",
+            "linalg.py",
+            [("linalg.py", "_echelon")],
+            id="_pivot_rounds-_echelon",
         ),
         pytest.param(
             "rank_profile",
