@@ -9,15 +9,15 @@ of terms is one ``block_sum``, and a map one ``linalg.block_matrix`` of
 its blocks by position (no numpy here).  Tags are descriptors: ``cone``
 and ``direct_sum_complexes`` take the multiset union of their inputs',
 ``tensor_complexes`` the Mackey rule, and none recognizes a term.
-``lift_chain_map`` recognizes the terms it solves from, for their bases,
-and ``check_tags`` and ``tag_complex`` all the terms, each in one
-``recognize_all`` walk.  Where some term has no permutation basis, the
-lift and the check recognize one term at a time instead, so a failure
-at a lower degree is still the one reported.
+``tag_complex`` recognizes all the terms in one ``recognize_all`` walk;
+``lift_chain_map``, for the terms it solves from, and ``check_tags`` draw
+their bases from ``_bases``, that walk or, where some term has no
+permutation basis, one term at a time, so a lower failure is reported first.
 ``truncate`` drops one degree of a complex it takes to be exact.
 ``certify_resolution`` is the one place that recomputes d^2 = 0, all
 homology dimensions, tag recognition and freeness, trusting none of them;
 ``check_tags`` compares the stored descriptors, composed or read from a file.
+Its degree-by-degree checks stop at the first failing degree (``_first_failure``).
 
 ``d-squared`` and ``exact`` read one pass up the complex, ``_rank_pass``,
 with d_0 the augmentation.  A vector of ker d_(j-1) is fixed by its
@@ -403,6 +403,19 @@ def truncate(c: Complex) -> Complex:
 # chain-map lifting
 
 
+def _bases(terms):
+    """The terms' permutation bases, drawn in degree order.
+
+    One ``recognize_all`` walk; where some term has no permutation basis,
+    ``recognize`` of one term at a time as it is drawn, so a caller that
+    stops at a lower degree's failure never reaches the term that has none.
+    """
+    try:
+        return iter(recognize_all(terms))
+    except PermresError:
+        return map(recognize, terms)
+
+
 def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     """Lift f through two resolutions: eps_P f_0 = f eps_Q and d f_j = f_(j-1) d.
 
@@ -410,10 +423,9 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     f.target with top degree <= ell, and a lift exists (projectivity
     guarantees one when q is free up to the top degree of pc).  Each
     component is the canonical ``solve_equivariant`` out of its term,
-    recognized for its basis (NotPermutationBasis if it has none), all
-    in one walk before the first solve, on the rows that one ``LiftRows``
-    carries up the degrees; degrees above pc vanish and the final
-    compatibility is asserted rather than solved.
+    whose basis ``_bases`` draws (NotPermutationBasis if it has none), on
+    the rows that one ``LiftRows`` carries up the degrees.  Components
+    above pc are zero, so f_top d_(top+1) = 0 is checked, not solved.
     """
     if q.aug is None or pc.aug is None:
         raise LiftFailed("both complexes must be augmented")
@@ -421,29 +433,20 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
         raise LiftFailed("augmentation targets do not match the map being lifted")
     if pc.top > ell:
         raise LiftFailed(f"target complex has top degree {pc.top} > ell = {ell}")
-    sources = q.terms[: pc.top + 1]
-    try:
-        bases = recognize_all(sources)
-    except PermresError:  # recognized per degree below, after the solves beneath it
-        bases = (None,) * len(sources)
+    top = min(q.top, pc.top)
     components: list[ModuleMap | None] = []
     prev = f.matrix
     rows = LiftRows()
-    for j in range(q.top + 1):
-        if j <= pc.top:
-            tag = recognize(q.terms[j]) if bases[j] is None else bases[j]
-            rhs = prev @ q.boundary(j).matrix.take_cols(tag.base)
-            x = solve_equivariant(tag, pc.terms[j], pc.boundary(j).matrix, rhs, rows)
-            if x is None:
-                raise LiftFailed(f"no lift exists at degree {j}")
-            components.append(ModuleMap(q.terms[j], pc.terms[j], x))
-            prev = x
-        else:
-            # beyond the target: the compatibility must hold with a zero component
-            if not (prev @ q.boundary(j).matrix).is_zero():
-                raise LiftFailed(f"automatic vanishing fails at degree {j}")
-            components.append(None)
-            prev = Mat.zeros(q.group.p, 0, q.terms[j].dim)
+    for j, tag in enumerate(_bases(q.terms[: top + 1])):
+        rhs = prev @ q.boundary(j).matrix.take_cols(tag.base)
+        x = solve_equivariant(tag, pc.terms[j], pc.boundary(j).matrix, rhs, rows)
+        if x is None:
+            raise LiftFailed(f"no lift exists at degree {j}")
+        components.append(ModuleMap(q.terms[j], pc.terms[j], x))
+        prev = x
+    if top < q.top and not (prev @ q.diffs[top].matrix).is_zero():
+        raise LiftFailed(f"automatic vanishing fails at degree {top + 1}")
+    components += [None] * (q.top - top)
     return ChainMap(q, pc, tuple(components), base=f)
 
 
@@ -481,24 +484,30 @@ class CertReport:
         return out
 
 
+def _first_failure(pairs) -> str | None:
+    """``degree j: what`` for the first pair (j, what) whose ``what`` is not None.
+
+    The pairs are drawn lazily, so nothing above the first failure is checked.
+    """
+    return next((f"degree {j}: {what}" for j, what in pairs if what is not None), None)
+
+
 def check_tags(terms, descriptors) -> str | None:
     """None if each term is recognized with its descriptor, else "degree j: ...".
 
-    All terms are recognized in one walk; where some term has no basis,
-    one at a time, so a lower degree's differing tag is still named first.
+    The terms' bases come from ``_bases``, so a lower degree's differing
+    tag is named before a higher term without a permutation basis.
     """
-    try:
-        bases = recognize_all(terms)
-    except PermresError:
-        bases = (None,) * len(terms)
-    for j, (term, want, tag) in enumerate(zip(terms, descriptors, bases)):
+    bases = _bases(terms)
+
+    def verdict(want):
         try:
-            got = (recognize(term) if tag is None else tag).descriptor
+            got = next(bases).descriptor
         except PermresError as exc:  # NotPermutationBasis names the generator and row
-            return f"degree {j}: {exc}"
-        if got != want:
-            return f"degree {j}: recognized tag differs from the stored tag"
-    return None
+            return str(exc)
+        return None if got == want else "recognized tag differs from the stored tag"
+
+    return _first_failure((j, verdict(want)) for j, want in enumerate(descriptors))
 
 
 def certify_resolution(
@@ -514,27 +523,15 @@ def certify_resolution(
 
     add("augmented", c.aug is not None, "" if c.aug is not None else "no augmentation")
 
-    bad = None
-    for j, t in enumerate(c.terms):
-        msg = t.defect
-        if msg is not None:
-            bad = f"degree {j}: {msg}"
-            break
+    bad = _first_failure((j, t.defect) for j, t in enumerate(c.terms))
     if bad is None and c.aug is not None:
         msg = c.aug.target.defect
         if msg is not None:
             bad = f"target: {msg}"
     add("terms-valid", bad is None, bad or "")
 
-    bad = None
-    for j in range(c.top + 1):
-        b = c.boundary(j)
-        if b is None:
-            continue
-        msg = check_module_map(b)
-        if msg is not None:
-            bad = f"degree {j}: {msg}"
-            break
+    maps = enumerate((c.aug,) + c.diffs)
+    bad = _first_failure((j, check_module_map(b)) for j, b in maps if b is not None)
     add("maps-intertwine", bad is None, bad or "")
 
     ranks, squares = _rank_pass(c)
@@ -545,14 +542,9 @@ def certify_resolution(
 
     if c.aug is not None:
         defect, *hdims = _homology(c, ranks)
-        bad = None
+        bad = next((f"dim H_{j} = {h}" for j, h in enumerate(hdims) if h), None)
         if defect:
             bad = f"augmentation rank deficit {defect}"
-        else:
-            for j, h in enumerate(hdims):
-                if h:
-                    bad = f"dim H_{j} = {h}"
-                    break
         add("exact", bad is None, bad or "")
         chi = euler_characteristic(c)
         add(

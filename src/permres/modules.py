@@ -363,14 +363,12 @@ def submodule(m: Module, rows: Mat):
 
 
 def _restricted(m: Module, basis: Mat) -> Module:
-    """m on the invariant column span of basis: each X solves basis X = A basis."""
-    action = []
-    for i in range(m.group.rank):
-        x = solve(basis, _act(m, i, basis))
-        if x is None:
-            raise InternalError("subspace is not action-invariant")
-        action.append(x)
-    return Module(m.group, tuple(action))
+    """m on the invariant span of basis, which has full column rank: one solve
+    of basis X = [A_1 basis | ... | A_r basis], split by columns, gives each X."""
+    x = solve(basis, hstack([_act(m, i, basis) for i in range(m.group.rank)]))
+    if x is None:
+        raise InternalError("subspace is not action-invariant")
+    return Module(m.group, tuple(Mat(x.p, a) for a in np.hsplit(x.a, m.group.rank)))
 
 
 def permutation_submodule(m: Module, keep) -> Module:

@@ -76,6 +76,5 @@ def _socle_over(free: Module, rows: Mat) -> Mat:
     new dimension.
     """
     rho, _ = complement_projection(rows)
-    eye = np.eye(free.dim, dtype=np.int64)
-    blocks = [Mat(rows.p, rho.a @ ((a.a - eye) % rows.p)) for a in free.action]
-    return nullspace(vstack(blocks))
+    # A e_x = e_sigma[x], so rho A gathers the columns of rho by sigma
+    return nullspace(vstack([Mat(rows.p, rho.a[:, sigma] - rho.a) for sigma in free.perms]))

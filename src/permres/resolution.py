@@ -20,11 +20,11 @@ resolution of M by permutation modules that is free up to degree m:
 Build once, certify once: the construction never re-checks what it
 built (only the inputs of the public ``rotate`` and ``splice``), and
 ``certify_resolution`` recomputes every claim of the final result
-independently, exactly once.  Tags are descriptors, stated where
-``realize`` builds a term and composed by the Mackey rule and multiset
-union; a permutation basis is made only where a solve reads one
-(``rotate``; ``lift_chain_map``, in one walk over the terms it solves
-from; ``trim``).  ``trim`` certifies its own output, and certifies its
+independently, exactly once.  Tags are descriptors, stated where a
+term is built (``coset_module``, ``free_module``) and composed by the
+Mackey rule and multiset union; a permutation basis is made only where
+a solve reads one (``rotate``; ``lift_chain_map``, in one walk over the
+terms it solves from; ``trim``).  ``trim`` certifies its own output, and certifies its
 input only when that fails, to tell an invalid input from a fault of
 its own.
 Every lift out of a permutation module (the cover map in ``rotate``, each
@@ -62,6 +62,8 @@ from .modules import (
     check_module_map,
     check_ses,
     composition_series,
+    coset_module,
+    free_module,
     free_rank,
     identity_map,
     kernel,
@@ -109,7 +111,7 @@ def periodic_complex(group: Group, i: int, ell: int) -> Complex:
     p = group.p
     coset_tag = PermutationDescriptor(group, (Subgroup.coordinate_hyperplane(group, i),))
     k_tag = PermutationDescriptor(group, (Subgroup.full(group),))
-    coset, k = realize(coset_tag).module, realize(k_tag).module
+    coset, k = (coset_module(tag.parts[0]) for tag in (coset_tag, k_tag))
     gm1 = coset.generator(i - 1) - Mat.identity(p, p)
     # g permutes the p cosets in one cycle, so the norm sum_k g^k is all ones
     norm = Mat(p, [[1] * p] * p)
@@ -219,8 +221,8 @@ def splice(res_l: Complex, res_m: Complex, f: ModuleMap, quot: ModuleMap) -> Com
 
 def _free_term(group: Group, t: int) -> Complex:
     """(kE)^t resolving itself, tagged with t trivial parts."""
+    module = free_module(group, t)
     tag = PermutationDescriptor(group, (Subgroup.trivial(group),) * t)
-    module = realize(tag).module
     return Complex((module,), (), identity_map(module), (tag,))
 
 
@@ -331,6 +333,8 @@ def trim(res: Complex, proj_m: ModuleMap, proj_q: ModuleMap) -> Complex:
         tag0 = recognize(res.terms[0])
     except InternalError as exc:  # permutation generators that do not act as E
         raise _trim_failure(res, str(exc)) from exc
+    if tag0.descriptor != res.tags[0]:
+        raise _trim_failure(res, "degree 0: recognized tag differs from the stored tag")
     composite = proj_q.matrix @ res.aug.matrix
     selected: list[int] = []
     chosen = tag0.part_of < 0  # the basis vectors of the selected parts

@@ -376,6 +376,24 @@ class TestLift:
         with pytest.raises(Exception):
             lift_chain_map(identity_map(trivial_module(C2, 1)), q, p, ell=0)
 
+    def test_a_longer_source_checks_vanishing_once(self):
+        # q stops one degree above the target p, and f_0 d_1 = g - 1 is not zero
+        c = periodic_piece_c2()
+        q = Complex(c.terms[:2], c.diffs[:1], c.aug)
+        f = free_module(C2, 1)
+        p = single_term_complex(f, ModuleMap(f, trivial_module(C2, 1), Mat(2, [[1, 1]])))
+        with pytest.raises(LiftFailed, match=r"^automatic vanishing fails at degree 1$"):
+            lift_chain_map(identity_map(trivial_module(C2, 1)), q, p, ell=0)
+
+    def test_components_above_the_target_are_zero(self):
+        # k resolving itself: f_0 = eps, and eps d_1 = 0, so the lift exists
+        q = periodic_piece_c2()
+        k = q.aug.target
+        lift = lift_chain_map(identity_map(k), q, single_term_complex(k, identity_map(k)), ell=0)
+        assert lift.components[0].matrix == q.aug.matrix
+        assert lift.components[1:] == (None, None)
+        assert check_chain_map(lift) is None
+
 
 def _lift_outcome(f, q, pc):
     """(components, None) of ``lift_chain_map``, or (None, its LiftFailed message)."""
@@ -577,6 +595,34 @@ class TestCertify:
             tags,
             free,
         ]
+
+    # the scans stop at the first failing degree: nothing above it is checked
+    def test_maps_are_checked_up_to_the_first_failure(self, monkeypatch):
+        c = periodic_piece_c2()
+        bad_d1 = ModuleMap(c.terms[1], c.terms[0], Mat(2, [[1, 0], [1, 1]]))
+        calls = []
+        monkeypatch.setattr(
+            complexes, "check_module_map", lambda f: calls.append(f) or check_module_map(f)
+        )
+        report = certify_resolution(Complex(c.terms, (bad_d1, c.diffs[1]), c.aug))
+        assert report.first_failure() == CheckResult(
+            "maps-intertwine", False, "degree 1: map does not intertwine generator 1"
+        )
+        assert [id(f) for f in calls] == [id(c.aug), id(bad_d1)]
+
+    def test_terms_are_validated_up_to_the_first_failure(self, monkeypatch):
+        c = trivial_resolution(V4, 1).complex
+        bad = with_term(c, 1, wrong_order(V4, c.terms[1].dim))
+        seen = []
+        monkeypatch.setattr(
+            Module, "defect", property(lambda m: seen.append(m) or modules.validate_module(m))
+        )
+        # untagged, so no recognition reads a defect after terms-valid
+        report = certify_resolution(Complex(bad.terms, bad.diffs, bad.aug))
+        assert report.checks[1] == CheckResult(
+            "terms-valid", False, "degree 1: generator 1: order does not divide p"
+        )
+        assert [id(m) for m in seen] == [id(t) for t in bad.terms[:2]]
 
     def test_euler_diagnostic(self):
         k = trivial_module(C2, 1)

@@ -676,6 +676,20 @@ class TestTrimInput:
         assert err.startswith("error: input is not a resolution: tags FAIL (degree 3:")
         assert not out_path.exists()
 
+    def test_a_wrong_degree_0_tag_is_checked(self, tmp_path, capsys):
+        obj = complex_to_obj(_k_plus_ke(self.V4, 2), m=2)
+        assert obj["tags"][0] == [[], []]
+        # one free part and four copies of k: the same dim, a different tag
+        obj["tags"][0] = [[]] + [[[1, 0], [0, 1]]] * 4
+        code, out_path = self.trim(tmp_path, obj)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(
+            "error: input is not a resolution: tags FAIL "
+            "(degree 0: recognized tag differs from the stored tag)"
+        )
+        assert not out_path.exists()
+
     def test_stored_tags_are_not_recognized_again(self, tmp_path, capsys, monkeypatch):
         res = _k_plus_ke(self.V4, 0)
         assert res.top == 4

@@ -78,8 +78,9 @@ def _references(tree, name):
 # recognition; a term is recognized only to tag a complex on request, where a
 # lift or ``trim`` reads its basis, and in the certificate.  A complex's terms
 # are recognized in one ``recognize_all`` walk; ``recognize`` is its
-# one-module case, called alone by ``trim`` and, where some term has no
-# basis, term by term in the lift and the certificate.  Coset
+# one-module case, called alone by ``trim``.  The lift and the certificate
+# draw their bases from one helper, ``_bases``, which falls back to
+# ``recognize`` term by term where some term has no basis.  Coset
 # representatives are built as tuples only for coset modules and realized
 # bases; a recognized basis is the orbit walk's index arrays.  One dispatch,
 # ``_echelon``, picks the per-pivot loop or the pivot rounds for every
@@ -136,21 +137,22 @@ def _references(tree, name):
             "permutation.py",
             [
                 ("complexes.py", "tag_complex"),
-                ("complexes.py", "lift_chain_map"),
-                ("complexes.py", "check_tags"),
+                ("complexes.py", "_bases"),
                 ("permutation.py", "recognize"),
             ],
-            id="recognize_all-tag_complex-lift_chain_map-check_tags-recognize",
+            id="recognize_all-tag_complex-_bases-recognize",
         ),
         pytest.param(
             "recognize",
             "permutation.py",
-            [
-                ("complexes.py", "lift_chain_map"),
-                ("complexes.py", "check_tags"),
-                ("resolution.py", "trim"),
-            ],
-            id="recognize-lift_chain_map-check_tags-trim",
+            [("complexes.py", "_bases"), ("resolution.py", "trim")],
+            id="recognize-_bases-trim",
+        ),
+        pytest.param(
+            "_bases",
+            "complexes.py",
+            [("complexes.py", "lift_chain_map"), ("complexes.py", "check_tags")],
+            id="_bases-lift_chain_map-check_tags",
         ),
         pytest.param(
             "coset_reps",
