@@ -28,10 +28,12 @@ product with d_(j+1) is zero exactly when d_j d_(j+1) is.  The rows are
 restricted only above a zero product, so every rank and verdict is exact.
 ``lift_chain_map`` makes the same argument for its solves: above degree
 0 the right-hand side and the image of d_j both lie in ker d_(j-1) of the
-target, so its free parts are solved on the rows off the pivots of
-d_(j-1), which the free-part solve one degree down found, and its other
-parts, H-fixed, on one row per H-orbit (``permutation.LiftRows``).  It
-forms each right-hand side only at the parts' cosets H themselves.
+target, so every part of degree j is solved on the rows off the pivots
+of d_(j-1), which the free-part solve one degree down found (on every
+row where that degree had no free part).  The kept rows span the row
+space of the whole system, so every solution and every failure is the
+whole system's.  It forms each right-hand side only on those rows, at
+the parts' cosets H themselves.
 
 Sign conventions (the certified statements are sign-independent):
 
@@ -58,7 +60,6 @@ from .modules import (
     trivial_module,
 )
 from .permutation import (
-    LiftRows,
     PermutationDescriptor,
     recognize,
     recognize_all,
@@ -391,7 +392,8 @@ def truncate(c: Complex) -> Complex:
         if k.dim != 0:
             raise NotResolution("augmentation of a length-0 resolution has a kernel")
         z = trivial_module(c.group, 0)
-        return Complex((z,), (), ModuleMap(z, k, Mat.zeros(c.group.p, 0, 0)))
+        tags = None if c.tags is None else (PermutationDescriptor(c.group, ()),)
+        return Complex((z,), (), ModuleMap(z, k, Mat.zeros(c.group.p, 0, 0)), tags)
     mat = solve(kappa.matrix, c.diffs[0].matrix)
     if mat is None:
         raise NotResolution("image of d_1 is not contained in ker(eps)")
@@ -424,8 +426,9 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     guarantees one when q is free up to the top degree of pc).  Each
     component is the canonical ``solve_equivariant`` out of its term,
     whose basis ``_bases`` draws (NotPermutationBasis if it has none), on
-    the rows that one ``LiftRows`` carries up the degrees.  Components
-    above pc are zero, so f_top d_(top+1) = 0 is checked, not solved.
+    the rows off the pivots that the solve one degree down returned
+    (module docstring).  Components above pc are zero, so
+    f_top d_(top+1) = 0 is checked, not solved.
     """
     if q.aug is None or pc.aug is None:
         raise LiftFailed("both complexes must be augmented")
@@ -436,14 +439,18 @@ def lift_chain_map(f: ModuleMap, q: Complex, pc: Complex, ell: int) -> ChainMap:
     top = min(q.top, pc.top)
     components: list[ModuleMap | None] = []
     prev = f.matrix
-    rows = LiftRows()
+    rows = None  # the coordinates of P_(j-1) that embed ker d_(j-1), or None for all
     for j, tag in enumerate(_bases(q.terms[: top + 1])):
+        d = pc.boundary(j).matrix
+        if rows is not None:
+            d, prev = d.take_rows(rows), prev.take_rows(rows)
         rhs = prev @ q.boundary(j).matrix.take_cols(tag.base)
-        x = solve_equivariant(tag, pc.terms[j], pc.boundary(j).matrix, rhs, rows)
+        x, pivots = solve_equivariant(tag, pc.terms[j], d, rhs)
         if x is None:
             raise LiftFailed(f"no lift exists at degree {j}")
         components.append(ModuleMap(q.terms[j], pc.terms[j], x))
         prev = x
+        rows = None if pivots is None else non_pivots(pc.terms[j].dim, pivots)
     if top < q.top and not (prev @ q.diffs[top].matrix).is_zero():
         raise LiftFailed(f"automatic vanishing fails at degree {top + 1}")
     components += [None] * (q.top - top)

@@ -34,7 +34,7 @@ import numpy as np
 from . import config
 from .errors import GroupMismatch, InternalError
 from .groups import Group, Subgroup
-from .linalg import Mat, non_pivots, solve_pivots
+from .linalg import Mat, solve_pivots
 from .modules import (
     Module,
     block_sum,
@@ -185,65 +185,23 @@ def recognize_all(modules) -> tuple[TaggedModule, ...]:
     )
 
 
-class LiftRows:
-    """The rows that decide each degree of one chain-map lift, carried up its degrees.
-
-    Degree j of a lift into P solves d_j F y = b, one row per basis
-    vector of P_(j-1) (of M at degree 0).  For j >= 1 the columns of
-    d_j F and b lie in ker d_(j-1), with d_0 the augmentation, and a
-    vector there is fixed by its coordinates off the pivot columns of
-    d_(j-1).  So the free part (F = I) is solved on those rows alone,
-    with the pivots that the free part's solve at degree j-1 found among
-    the columns of d_(j-1); where degree j-1 had no free part, on every
-    row.  For H != 1 both sides are H-fixed vectors of a permutation
-    module, fixed by one coordinate per H-orbit, so the system keeps one
-    row per orbit, read off the ``fixed_points(P_(j-1), H)`` that degree
-    j-1 made, or made here.  As P is a complex, the kept rows span the
-    row space of the whole system, whose reduced echelon form is unique,
-    so every solution, and every verdict that none exists, is the whole
-    system's.  ``solve_equivariant`` reads ``keep`` and moves it a degree up.
-    """
-
-    def __init__(self):
-        self.below = None  # P_(j-1); None at degree 0, whose rows index M
-        self.pivots = None  # the pivot columns of d_(j-1), if the free part was solved
-        self.fixed = {}  # H -> fixed_points(P_(j-1), H)
-
-    def keep(self, h: Subgroup):
-        """The rows to keep for the parts over h, or None for all of them."""
-        below = self.below
-        if below is None:
-            return None
-        if h.is_trivial():
-            return None if self.pivots is None else non_pivots(below.dim, self.pivots)
-        if below.perms is None:
-            return None
-        f = self.fixed.get(h)
-        if f is None:
-            f = fixed_points(below, h)
-        # one point of each orbit: its smallest
-        return f.a.argmax(axis=0)
-
-
-def solve_equivariant(
-    tag: TaggedModule, target: Module, d: Mat, rhs: Mat, rows: LiftRows | None = None
-):
-    """The canonical module map X : tag.module -> target with d X = rhs.
+def solve_equivariant(tag: TaggedModule, target: Module, d: Mat, rhs: Mat):
+    """(X, pivots): the canonical module map X : tag.module -> target with d X = rhs.
 
     ``rhs`` is a module map out of the tagged module, given by its
     columns at the parts' cosets H themselves (``tag.base``), in part
-    order.  A map out of k(E/H) is fixed by the image x of the coset H,
+    order; ``d`` and ``rhs`` may be taken on any rows that decide the
+    system.  A map out of k(E/H) is fixed by the image x of the coset H,
     and x only has to be H-fixed (Frobenius reciprocity), so x = F y for
     F the basis of target^H and d F y = rhs at the coset H.  A
     non-trivial H only occurs in a permutation target, where F is the 0/1
     indicator of the H-orbits on its basis (``fixed_points``) and d F sums
     the columns of d over each orbit.  One ``solve_pivots`` serves all the
-    parts over the same H; a trivial H has F = I and solves d itself.  A
-    lift passes its ``LiftRows``, which names the rows each solve keeps and
-    is then moved up to this degree; without it every row is kept.  One
-    ``orbit_columns`` walk then sends the basis vector of each coset
-    rep + H to A^rep x; on a permutation target each step of that walk
-    only moves rows.  Returns None when no such X exists.
+    parts over the same H; a trivial H has F = I and solves d itself, and
+    ``pivots`` are the pivot columns of d it finds (None without a free
+    part).  One ``orbit_columns`` walk then sends the basis vector of each
+    coset rep + H to A^rep x; on a permutation target each step of that
+    walk only moves rows.  X is None when no such map exists.
     """
     group = target.group
     p, order = group.p, group.order
@@ -251,24 +209,19 @@ def solve_equivariant(
     by_subgroup = {}
     for j, h in enumerate(tag.parts):
         by_subgroup.setdefault(h, []).append(j)
-    fixed, free_pivots = {}, None
+    pivots = None
     for h, js in by_subgroup.items():
-        a, b = d, rhs.take_cols(js)
-        keep = None if rows is None else rows.keep(h)
-        if keep is not None:
-            a, b = a.take_rows(keep), b.take_rows(keep)
+        b = rhs.take_cols(js)
         if h.is_trivial():
-            y, free_pivots = solve_pivots(a, b)
+            y, pivots = solve_pivots(d, b)
         else:
-            f = fixed[h] = fixed_points(target, h)
-            y = solve_pivots(a @ f, b)[0]
+            f = fixed_points(target, h)
+            y = solve_pivots(d @ f, b)[0]
             y = None if y is None else f @ y
         if y is None:
-            return None
+            return None, pivots
         x[:, js] = y.a
-    if rows is not None:
-        rows.below, rows.pivots, rows.fixed = target, free_pivots, fixed
-    return Mat(p, orbit_columns(target, x)[:, tag.part_of * order + tag.element])
+    return Mat(p, orbit_columns(target, x)[:, tag.part_of * order + tag.element]), pivots
 
 
 @lru_cache(maxsize=None)

@@ -175,7 +175,7 @@ def rotate(ses: ShortExactSequence) -> Rotation:
     # phi : P -> M covers pi_P through proj; P is t free parts, tagged by realize
     free_tag = realize(PermutationDescriptor(group, (Subgroup.trivial(group),) * cover.free_rank))
     cover_at_base = cover.map.matrix.take_cols(free_tag.base)
-    phi_mat = solve_equivariant(free_tag, mod_m, proj.matrix, cover_at_base)
+    phi_mat = solve_equivariant(free_tag, mod_m, proj.matrix, cover_at_base)[0]
     if phi_mat is None:
         raise InternalError("projection admits no preimage of a cover generator")
     middle = block_sum(group, (mod_l, cover.free))

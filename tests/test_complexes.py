@@ -310,6 +310,24 @@ class TestTruncate:
         with pytest.raises(NotResolution):
             truncate(c)
 
+    def test_a_tagged_length_zero_complex_stays_tagged(self):
+        f = free_module(C2, 1)
+        t = truncate(tag_complex(single_term_complex(f, identity_map(f))))
+        assert t.tags == (PermutationDescriptor(C2, ()),)
+        assert certify_resolution(t, m=0, require_tags=True).ok
+
+    def test_refusals_name_their_reason(self):
+        c = periodic_piece_c2()
+        # d_1 = 1 does not land in ker(eps)
+        not_into_kernel = Complex(c.terms, (identity_map(c.terms[1]), c.diffs[1]), c.aug)
+        for bad, message in (
+            (Complex(c.terms, c.diffs), "cannot truncate an unaugmented complex"),
+            (not_into_kernel, "image of d_1 is not contained in ker(eps)"),
+        ):
+            with pytest.raises(NotResolution) as info:
+                truncate(bad)
+            assert str(info.value) == message
+
 
 class TestLift:
     def test_zero_map_lifts_to_zero(self):
@@ -385,6 +403,37 @@ class TestLift:
         with pytest.raises(LiftFailed, match=r"^automatic vanishing fails at degree 1$"):
             lift_chain_map(identity_map(trivial_module(C2, 1)), q, p, ell=0)
 
+    def test_inputs_are_checked(self):
+        c = tag_complex(periodic_piece_c2())
+        k = c.aug.target
+        unaugmented = Complex(c.terms, c.diffs, tags=c.tags)
+        for f, q, pc, ell, message in (
+            (identity_map(k), unaugmented, c, 2, "both complexes must be augmented"),
+            (identity_map(k), c, unaugmented, 2, "both complexes must be augmented"),
+            (
+                identity_map(trivial_module(C2, 2)),
+                c,
+                c,
+                2,
+                "augmentation targets do not match the map being lifted",
+            ),
+            (identity_map(k), c, c, 1, "target complex has top degree 2 > ell = 1"),
+        ):
+            with pytest.raises(LiftFailed) as info:
+                lift_chain_map(f, q, pc, ell)
+            assert str(info.value) == message
+
+    def test_check_chain_map_names_the_failing_degree(self):
+        c = tag_complex(periodic_piece_c2())
+        k = c.aug.target
+        f0, f1, f2 = lift_chain_map(identity_map(k), c, c, ell=c.top).components
+        zero = [zero_map(t, t) for t in c.terms]
+        for components, report in (
+            ((zero[0], f1, f2), "chain-map identity fails at degree 0 (augmentations)"),
+            ((f0, zero[1], f2), "chain-map identity fails at degree 1"),
+        ):
+            assert check_chain_map(ChainMap(c, c, components, base=identity_map(k))) == report
+
     def test_components_above_the_target_are_zero(self):
         # k resolving itself: f_0 = eps, and eps d_1 = 0, so the lift exists
         q = periodic_piece_c2()
@@ -437,9 +486,9 @@ def _splice_lifts(module, m):
 
 
 class TestLiftRows:
-    """Each degree of a lift solves on the rows that decide it: the kernel
-    rows of the free part and one row per orbit for the other parts.  The
-    components and the failures must be those of the whole systems."""
+    """Each degree of a lift solves every part on the rows that decide it,
+    those off the pivots of d_(j-1).  The components and the failures must
+    be those of the whole systems."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -623,6 +672,20 @@ class TestCertify:
             "terms-valid", False, "degree 1: generator 1: order does not divide p"
         )
         assert [id(m) for m in seen] == [id(t) for t in bad.terms[:2]]
+
+    def test_a_target_that_is_not_a_module(self):
+        c = trivial_resolution(C3, 1).complex
+        bad = Module(C3, (Mat(3, [[2]]),))  # order 2, which does not divide 3
+        aug = ModuleMap(c.terms[0], bad, c.aug.matrix)
+        lines = certify_resolution(Complex(c.terms, c.diffs, aug)).lines()
+        assert lines[1] == "terms-valid: FAIL (target: generator 1: order does not divide p)"
+
+    def test_tags_are_required_on_request(self):
+        c = periodic_piece_c2()
+        assert "tags: FAIL (complex is untagged)" not in certify_resolution(c).lines()
+        assert certify_resolution(c, require_tags=True).lines()[-1] == (
+            "tags: FAIL (complex is untagged)"
+        )
 
     def test_euler_diagnostic(self):
         k = trivial_module(C2, 1)

@@ -23,6 +23,7 @@ from permres.cli import main
 from permres.complexes import (
     CertReport,
     CheckResult,
+    Complex,
     certify_resolution,
     direct_sum_complexes,
     single_term_complex,
@@ -665,6 +666,27 @@ class TestTrimInput:
             assert code == 2, err
             assert "order does not divide p" in err and "internal" not in err
             assert not out_path.exists()
+
+    def test_an_unaugmented_input_exits_2(self, tmp_path, capsys):
+        c = _k_plus_ke(self.V4, 0)
+        code, out_path = self.trim(tmp_path, complex_to_obj(Complex(c.terms, c.diffs), m=0))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == "error: complex is not augmented\n"
+        assert not out_path.exists()
+
+    def test_a_target_that_is_not_block_diagonal_exits_2(self, tmp_path, capsys):
+        # kE first and k last: the trailing dims of the target meet kE's orbits
+        f = free_module(self.V4, 1)
+        extra = tag_complex(single_term_complex(f, identity_map(f)))
+        k = good_resolution(trivial_module(self.V4, 1), 0).complex
+        code, out_path = self.trim(tmp_path, complex_to_obj(direct_sum_complexes(extra, k), m=0))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (
+            "error: target generator 1 is not block-diagonal for the trailing free block\n"
+        )
+        assert not out_path.exists()
 
     def test_stored_tags_are_checked(self, tmp_path, capsys):
         obj = complex_to_obj(_k_plus_ke(self.V4, 2), m=2)

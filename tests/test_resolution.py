@@ -22,6 +22,7 @@ from permres.io import canonical_dumps, complex_to_obj
 from permres.linalg import Mat
 from permres.modules import (
     ModuleMap,
+    ShortExactSequence,
     block_sum,
     composition_series,
     direct_sum,
@@ -160,6 +161,41 @@ class TestRotate:
         assert rot.ses.incl.source.dim == 0  # Omega of a free module
         assert rot.ses.proj.source.dim == f.dim
 
+    @pytest.mark.parametrize(
+        "case, report",
+        [
+            ("other middle", "inclusion target differs from projection source"),
+            ("incl not equivariant", "inclusion: map does not intertwine generator 1"),
+            ("proj not equivariant", "projection: map does not intertwine generator 1"),
+            ("incl zero", "inclusion is not injective"),
+            ("proj zero", "projection is not surjective"),
+            ("incl onto proj", "projection composed with inclusion is nonzero"),
+            ("middle too large", "ranks do not add up to the middle dimension"),
+        ],
+    )
+    def test_an_input_that_is_not_short_exact(self, case, report):
+        k, k2, k3 = (trivial_module(C2, n) for n in (1, 2, 3))
+        f = free_module(C2, 1)
+        norm, aug = ModuleMap(k, f, Mat(2, [[1], [1]])), ModuleMap(f, k, Mat(2, [[1, 1]]))
+        incl, proj = {
+            "other middle": (identity_map(k), aug),
+            "incl not equivariant": (ModuleMap(k, f, Mat(2, [[1], [0]])), aug),
+            "proj not equivariant": (norm, ModuleMap(f, k, Mat(2, [[1, 0]]))),
+            "incl zero": (zero_map(k, f), aug),
+            "proj zero": (norm, zero_map(f, k)),
+            "incl onto proj": (
+                ModuleMap(k, k2, Mat(2, [[1], [0]])),
+                ModuleMap(k2, k, Mat(2, [[1, 0]])),
+            ),
+            "middle too large": (
+                ModuleMap(k, k3, Mat(2, [[1], [0], [0]])),
+                ModuleMap(k3, k, Mat(2, [[0, 1, 0]])),
+            ),
+        }[case]
+        with pytest.raises(ValueError) as info:
+            rotate(ShortExactSequence(incl=incl, proj=proj))
+        assert str(info.value) == f"input is not short exact: {report}"
+
     def test_socle_step_of_kc2(self):
         ses = self.flag_ses(free_module(C2, 1), 2)
         rot = rotate(ses)
@@ -209,6 +245,29 @@ class TestSplice:
         assert is_resolution(out)
         assert out.aug.target == f
         assert free_up_to(out, 1)
+
+
+    def test_inputs_are_checked(self):
+        f = free_module(C2, 1)
+        res = tag_complex(single_term_complex(f, identity_map(f)))
+        unaugmented = single_term_complex(f)
+        k = trivial_module(C2, 1)
+        res_k = trivial_resolution(C2, 1).complex
+        one, zero = identity_map(f), zero_map(f, k)
+        for res_l, res_m, quot, message in (
+            (unaugmented, res, zero, "both inputs must be augmented"),
+            (res, unaugmented, zero, "both inputs must be augmented"),
+            (res_k, res, zero, "resolutions do not resolve the ends of f"),
+            (
+                res,
+                res,
+                ModuleMap(f, k, Mat(2, [[1, 1]])),
+                "f and quot are not short exact: projection composed with inclusion is nonzero",
+            ),
+        ):
+            with pytest.raises(ValueError) as info:
+                splice(res_l, res_m, one, quot)
+            assert str(info.value) == message
 
 
 class TestGoodResolution:
@@ -420,6 +479,47 @@ class TestTrim:
         after = len([p for p in out.tags[0].parts if p.is_trivial()])
         assert before - after == 1
         assert free_up_to(out, 1)
+
+    @pytest.mark.parametrize(
+        "case, reason",
+        [
+            ("unaugmented", "input complex is not augmented"),
+            ("untagged", "input complex must be tagged"),
+            ("other source", "proj_m does not start at the resolved module"),
+            ("proj_q not equivariant", "proj_q: map does not intertwine generator 1"),
+            ("Q of odd dim", "Q dimension is not a multiple of the group order"),
+            ("Q not free", "Q is not free"),
+            ("no splitting", "the two projections do not split the target"),
+            ("no free part", "no set of free parts maps isomorphically onto Q"),
+        ],
+    )
+    def test_refusals_name_their_reason(self, case, reason):
+        z, k, k2 = (trivial_module(C2, n) for n in (0, 1, 2))
+        f = free_module(C2, 1)
+        res, proj_m, proj_q = self.build_sum_resolution(k, 1)
+        target = res.aug.target
+        if case == "unaugmented":
+            res = single_term_complex(f)
+        elif case == "untagged":
+            res = single_term_complex(f, identity_map(f))
+        elif case == "other source":
+            proj_m = identity_map(k)
+        elif case == "proj_q not equivariant":
+            proj_q = ModuleMap(target, f, Mat(2, [[0, 1, 0], [0, 1, 0]]))
+        elif case == "Q of odd dim":
+            proj_m, proj_q = zero_map(target, z), proj_m
+        elif case == "Q not free":
+            res = good_resolution(k2, 1).complex
+            proj_m, proj_q = zero_map(k2, z), identity_map(k2)
+        elif case == "no splitting":
+            proj_m = zero_map(target, z)
+        elif case == "no free part":
+            # k embedded onto the norm of kC_2: Q = kC_2 covers no free part of degree 0
+            res = tag_complex(single_term_complex(k, ModuleMap(k, f, Mat(2, [[1], [1]]))))
+            proj_m, proj_q = zero_map(f, z), identity_map(f)
+        with pytest.raises(SelectionFailed) as info:
+            trim(res, proj_m, proj_q)
+        assert str(info.value) == reason
 
     def test_trim_rejects_non_free_q(self):
         k = trivial_module(C2, 1)

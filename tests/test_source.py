@@ -87,7 +87,10 @@ def _references(tree, name):
 # elimination, the reduced forms, ``solve_pivots`` and ``rank_profile``;
 # ``rank`` reads ``rank_profile``, which the certificate's one pass up a
 # complex calls on each map, and that pass serves both ``d-squared`` and
-# ``exact``.
+# ``exact``.  Every lift out of a permutation module is one
+# ``solve_equivariant``, the only reader of ``fixed_points``, on the rows its
+# caller gives; ``lift_chain_map`` picks one degree's rows for every part by
+# the rank pass's rule, so no second row rule reads the fixed points.
 @pytest.mark.parametrize(
     "name, home, owners",
     [
@@ -195,6 +198,18 @@ def _references(tree, name):
             "linalg.py",
             [("complexes.py", "_rank_pass"), ("linalg.py", "rank")],
             id="rank_profile-_rank_pass-rank",
+        ),
+        pytest.param(
+            "fixed_points",
+            "modules.py",
+            [("permutation.py", "solve_equivariant")],
+            id="fixed_points-solve_equivariant",
+        ),
+        pytest.param(
+            "solve_equivariant",
+            "permutation.py",
+            [("complexes.py", "lift_chain_map"), ("resolution.py", "rotate")],
+            id="solve_equivariant-lift_chain_map-rotate",
         ),
         pytest.param(
             "_rank_pass",
